@@ -13,8 +13,7 @@
 //	ampserved -set skip-epoch -map epoch -txn off   # every read on the wait-free bypass
 //	ampserved -set adaptive -map adaptive -txn off  # self-tuning backends that morph live
 //	ampserved -morph off                   # freeze adaptive backends on their boot member
-//	ampserved -read-bypass off             # force all reads through the shard mailboxes
-//	ampserved -spin 256                    # longer mailbox spin before shard goroutines park
+//	ampserved -read-bypass off             # apply every read under its shard lock
 //	ampserved -http 127.0.0.1:7172         # expvar stats endpoint
 //	ampserved -snapshot-dir /var/lib/amp   # where SAVE/BGSAVE write the snapshot
 //	ampserved -restore /var/lib/amp/ampserved.snap  # boot from the last snapshot
@@ -70,16 +69,14 @@ func run(args []string, out io.Writer, sig <-chan os.Signal) error {
 		snapDir   = fs.String("snapshot-dir", "", "directory for SAVE/BGSAVE snapshot files (default .)")
 		restore   = fs.String("restore", "", "load this snapshot file before serving (empty = fresh state)")
 
-		set            = fs.String("set", "", "set backend: "+strings.Join(server.SetBackends(), "|"))
-		mapb           = fs.String("map", "", "string-map backend: "+strings.Join(server.MapBackends(), "|"))
-		queue          = fs.String("queue", "", "queue backend: "+strings.Join(server.QueueBackends(), "|"))
-		stack          = fs.String("stack", "", "stack backend: "+strings.Join(server.StackBackends(), "|"))
-		pqueue         = fs.String("pqueue", "", "priority-queue backend: "+strings.Join(server.PQueueBackends(), "|"))
-		counter        = fs.String("counter", "", "counter backend: "+strings.Join(server.CounterBackends(), "|"))
-		metricsCounter = fs.String("metrics-counter", "",
-			"counting backend for the metrics layer: "+strings.Join(server.CounterBackends(), "|"))
-		txn = fs.String("txn", "", "transactional keyspace engine for MULTI/EXEC: "+strings.Join(server.TxnBackends(), "|"))
-		cm  = fs.String("cm", "", "DSTM contention manager: "+strings.Join(server.CMBackends(), "|"))
+		set     = fs.String("set", "", "set backend: "+strings.Join(server.SetBackends(), "|"))
+		mapb    = fs.String("map", "", "string-map backend: "+strings.Join(server.MapBackends(), "|"))
+		queue   = fs.String("queue", "", "queue backend: "+strings.Join(server.QueueBackends(), "|"))
+		stack   = fs.String("stack", "", "stack backend: "+strings.Join(server.StackBackends(), "|"))
+		pqueue  = fs.String("pqueue", "", "priority-queue backend: "+strings.Join(server.PQueueBackends(), "|"))
+		counter = fs.String("counter", "", "counter backend: "+strings.Join(server.CounterBackends(), "|"))
+		txn     = fs.String("txn", "", "transactional keyspace engine for MULTI/EXEC: "+strings.Join(server.TxnBackends(), "|"))
+		cm      = fs.String("cm", "", "DSTM contention manager: "+strings.Join(server.CMBackends(), "|"))
 
 		readBypass = fs.String("read-bypass", "",
 			"wait-free read fast path on capable backends: on|off (default on)")
@@ -89,8 +86,6 @@ func run(args []string, out io.Writer, sig <-chan os.Signal) error {
 			"batch drains between adaptive controller evaluations per shard (default 32)")
 		morphRead = fs.Int("morph-read", 0,
 			"window read percentage that morphs an adaptive shard to its read-optimized member (default 90)")
-		spin = fs.Int("spin", 0,
-			"shard mailbox spin budget: empty polls before a shard goroutine parks (0 = default, negative = park immediately)")
 
 		setCap   = fs.Int("set-cap", 0, "per-shard hash table size (power of two)")
 		queueCap = fs.Int("queue-cap", 0, "bounded/recycling queue capacity")
@@ -101,27 +96,25 @@ func run(args []string, out io.Writer, sig <-chan os.Signal) error {
 	}
 
 	srv, err := server.New(server.Options{
-		Shards:         *shards,
-		MaxShards:      *maxShards,
-		SnapshotDir:    *snapDir,
-		Set:            *set,
-		Map:            *mapb,
-		Queue:          *queue,
-		Stack:          *stack,
-		PQueue:         *pqueue,
-		Counter:        *counter,
-		MetricsCounter: *metricsCounter,
-		Txn:            *txn,
-		CM:             *cm,
-		ReadBypass:     *readBypass,
-		Morph:          *morph,
-		MorphEvery:     *morphEvery,
-		MorphReadPct:   *morphRead,
-		SpinBudget:     *spin,
-		SetCapacity:    *setCap,
-		QueueCapacity:  *queueCap,
-		PQCapacity:     *pqCap,
-		IdleTimeout:    *idle,
+		Shards:        *shards,
+		MaxShards:     *maxShards,
+		SnapshotDir:   *snapDir,
+		Set:           *set,
+		Map:           *mapb,
+		Queue:         *queue,
+		Stack:         *stack,
+		PQueue:        *pqueue,
+		Counter:       *counter,
+		Txn:           *txn,
+		CM:            *cm,
+		ReadBypass:    *readBypass,
+		Morph:         *morph,
+		MorphEvery:    *morphEvery,
+		MorphReadPct:  *morphRead,
+		SetCapacity:   *setCap,
+		QueueCapacity: *queueCap,
+		PQCapacity:    *pqCap,
+		IdleTimeout:   *idle,
 	})
 	if err != nil {
 		return err
@@ -138,8 +131,8 @@ func run(args []string, out io.Writer, sig <-chan os.Signal) error {
 		return err
 	}
 	opts := srv.Options()
-	fmt.Fprintf(out, "ampserved: listening on %s (shards=%d set=%s map=%s queue=%s stack=%s pqueue=%s counter=%s txn=%s cm=%s read-bypass=%s morph=%s spin=%d)\n",
-		srv.Addr(), opts.Shards, opts.Set, opts.Map, opts.Queue, opts.Stack, opts.PQueue, opts.Counter, opts.Txn, opts.CM, opts.ReadBypass, opts.Morph, opts.SpinBudget)
+	fmt.Fprintf(out, "ampserved: listening on %s (shards=%d set=%s map=%s queue=%s stack=%s pqueue=%s counter=%s txn=%s cm=%s read-bypass=%s morph=%s)\n",
+		srv.Addr(), opts.Shards, opts.Set, opts.Map, opts.Queue, opts.Stack, opts.PQueue, opts.Counter, opts.Txn, opts.CM, opts.ReadBypass, opts.Morph)
 
 	var httpSrv *http.Server
 	if *httpAddr != "" {

@@ -148,7 +148,12 @@ func TestRunRejectsBadBackend(t *testing.T) {
 }
 
 func TestRunRejectsBadFlag(t *testing.T) {
-	if err := run([]string{"-definitely-not-a-flag"}, io.Discard, nil); err == nil {
-		t.Fatal("run accepted an unknown flag")
+	// -spin and -metrics-counter were removed with the shard mailbox and
+	// the pluggable metrics counter; they must not parse silently.
+	for _, args := range [][]string{{"-definitely-not-a-flag"}, {"-spin", "1"}, {"-metrics-counter", "cas"}} {
+		err := run(args, io.Discard, nil)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Fatalf("run %v error = %v, want unknown-flag error", args, err)
+		}
 	}
 }

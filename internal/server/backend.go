@@ -29,7 +29,7 @@ import (
 // Options selects the data-plane layout and its backends. The zero value
 // is usable: every field has a default.
 type Options struct {
-	// Shards is the number of single-goroutine data-plane shards
+	// Shards is the number of locked data-plane shards
 	// (default GOMAXPROCS). Keyed commands hash to a shard; unkeyed
 	// commands are spread round-robin.
 	Shards int
@@ -46,21 +46,20 @@ type Options struct {
 	SnapshotDir string
 
 	// Backend names per family; see *Backends() for the valid names.
-	Set            string // default "striped"
-	Map            string // default "striped"
-	Queue          string // default "unbounded"
-	Stack          string // default "treiber"
-	PQueue         string // default "skip"
-	Counter        string // default "combining"
-	MetricsCounter string // counting backend for metrics; default "cas"
+	Set     string // default "striped"
+	Map     string // default "striped"
+	Queue   string // default "unbounded"
+	Stack   string // default "treiber"
+	PQueue  string // default "skip"
+	Counter string // default "combining"
 
 	// ReadBypass controls the wait-free read fast path: "on" (default)
 	// executes GET/HGET directly on the connection goroutine — under an
 	// epoch pin where the backend needs one — whenever the serving
 	// backend's reads are safe from any goroutine (see the readBypass
-	// capability on the registry entries); "off" forces every read
-	// through the shard mailbox. Reads on non-capable backends, and
-	// reads staged inside MULTI windows, always take the mailbox/tvar
+	// capability on the registry entries); "off" applies every read in
+	// a batch under its shard lock. Reads on non-capable backends, and
+	// reads staged inside MULTI windows, always take the shard-lock/tvar
 	// path regardless of this setting.
 	ReadBypass string
 
@@ -70,7 +69,7 @@ type Options struct {
 	// freezes the adaptive backends on their boot member (striped).
 	// Ignored unless an adaptive backend is selected.
 	//
-	// MorphEvery is the number of batch drains between controller
+	// MorphEvery is the number of applied batches between controller
 	// evaluations per shard (default 32); MorphReadPct is the window
 	// read percentage at which a shard morphs to its read-optimized
 	// member (default 90).
@@ -98,13 +97,6 @@ type Options struct {
 
 	// IdleTimeout drops connections silent for this long (default 2m).
 	IdleTimeout time.Duration
-
-	// SpinBudget is the number of empty polls a shard goroutine makes on
-	// its mailbox before parking: 0 (default) selects
-	// mailbox.DefaultSpinBudget, a negative value disables spinning (the
-	// shard parks on the first empty poll — the pre-mailbox channel
-	// behavior, useful to isolate the spin phase in experiments).
-	SpinBudget int
 
 	// clock overrides the engine's time source (tests only: the
 	// amortized-clock test injects a fake clock here). Nil means
@@ -140,7 +132,6 @@ func (o Options) withDefaults() Options {
 	def(&o.Stack, "treiber")
 	def(&o.PQueue, "skip")
 	def(&o.Counter, "combining")
-	def(&o.MetricsCounter, "cas")
 	def(&o.ReadBypass, "on")
 	def(&o.Morph, "on")
 	defInt(&o.MorphEvery, 32)
@@ -206,8 +197,8 @@ func (b boundedQueue) enq(v int64) error {
 	return nil
 }
 
-// deq uses TryDeq: the blocking Deq would park the shard goroutine on an
-// empty queue, stalling every command routed to that shard.
+// deq uses TryDeq: the blocking Deq would wait on an empty queue while
+// holding the shard lock, stalling every command routed to that shard.
 func (b boundedQueue) deq() (int64, bool) { return b.q.TryDeq() }
 
 // recyclingQueue adapts the node-recycling queue, whose Enq refuses when
@@ -482,7 +473,7 @@ func StackBackends() []string { return sortedKeys(stackBackends) }
 // PQueueBackends lists the valid -pqueue names.
 func PQueueBackends() []string { return sortedKeys(pqBackends) }
 
-// CounterBackends lists the valid -counter and -metrics-counter names.
+// CounterBackends lists the valid -counter names.
 func CounterBackends() []string { return sortedKeys(counterBackends) }
 
 // TxnBackends lists the valid -txn names: the internal/txn engines plus

@@ -252,7 +252,7 @@ func BenchmarkServerTCPTxn(b *testing.B) {
 // over a 1024-key space on the epoch-safe skiplist backend, with the
 // bypass on and off. Compare the pairs for the tail-latency and
 // throughput effect of serving reads on the connection goroutine
-// instead of the shard mailbox.
+// instead of under the shard lock.
 func BenchmarkServerTCPReadMostly(b *testing.B) {
 	for _, pct := range []int{90, 99} {
 		for _, bypass := range []string{"on", "off"} {

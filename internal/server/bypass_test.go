@@ -148,7 +148,7 @@ func mapMixHistoryClient(addr string, rec *core.Recorder, me core.ThreadID,
 // testServerLinearizableReadMix records a read-heavy concurrent history
 // through a live server whose reads take the wait-free bypass, and
 // checks it against the sequential model. Bypassed reads execute on the
-// connection goroutine while writes drain through the shard mailboxes,
+// connection goroutine while writes apply under the shard locks,
 // so this is exactly the schedule where a stale or torn read would show
 // up as a non-linearizable history.
 //
@@ -255,10 +255,9 @@ func TestServerLinearizableReadMixKeyspace(t *testing.T) {
 }
 
 // TestBypassReadMidDrain is the whitebox interleaving test: applyHook
-// wedges the shard's combiner between two commands of a same-key write
-// batch, and a bypass read issued from another connection must (a)
-// complete while the shard is stuck — it would hang on the mailbox
-// otherwise — and (b) observe exactly the prefix of the batch that has
+// wedges the shard between two commands of a same-key write batch, and
+// a bypass read issued from another connection must (a) complete while
+// the shard is stuck — it would hang on the shard lock otherwise — and (b) observe exactly the prefix of the batch that has
 // applied: the pre-wedge value, never a torn intermediate. After the
 // wedge releases, the same read sees the post-batch value. Run at
 // GOMAXPROCS 2 and 8 so both starved and parallel schedules are
@@ -276,13 +275,12 @@ func TestBypassReadMidDrain(t *testing.T) {
 func testBypassReadMidDrain(t *testing.T) {
 	srv := startServer(t, Options{Shards: 1, Set: "list-epoch", Map: "epoch", Txn: "off"})
 
-	// Wedge points: the hook runs on whichever goroutine holds the
-	// shard's combiner lock before a command applies, so parking on
-	// HSET k 2 freezes the combiner with the overwrite pending, and
-	// parking on DEL 7 freezes a two-command batch with its first
-	// command (SET 8) already applied. Installing the hook here is safe
-	// because no command is in flight yet and acquiring the combiner
-	// lock orders this write before the combiner's read.
+	// Wedge points: the hook runs under the shard lock before a command
+	// applies, so parking on HSET k 2 freezes the shard with the
+	// overwrite pending, and parking on DEL 7 freezes a two-command
+	// batch with its first command (SET 8) already applied. Installing
+	// the hook here is safe because no command is in flight yet and
+	// acquiring the shard lock orders this write before the hook's read.
 	type wedge struct {
 		op  Op
 		arg int64
@@ -304,7 +302,7 @@ func testBypassReadMidDrain(t *testing.T) {
 	reader := dial(t, srv)
 
 	// read does one bypass read on the reader connection with a short
-	// deadline: if the read ever rides the mailbox it parks behind the
+	// deadline: if the read ever takes the shard lock it parks behind the
 	// wedged shard and the deadline converts the hang into a failure.
 	read := func(line, want, while string) {
 		t.Helper()

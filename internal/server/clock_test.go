@@ -10,14 +10,14 @@ import (
 )
 
 // TestAmortizedClockObservations pins the amortized-clock contract with
-// an injected fake clock: the drain loop reads the wall clock only every
+// an injected fake clock: applying a batch reads the wall clock only every
 // clockEvery executed commands, so an observation may be stale, but
 // never by more than one refresh interval — every op lands in a bucket
 // within one clock tick of the truth.
 //
 // The batch alternates SET and PUSH so every command is its own same-op
 // span (64 spans of one command each). The fake clock ticks exactly once,
-// by step, between the submit stamp and the drain. The first clockEvery
+// by step, between the submit stamp and the apply. The first clockEvery
 // observations therefore read the pre-tick clock (latency 0) and the
 // rest read the refreshed clock (latency step) — nothing in between,
 // nothing beyond, and the refresh provably fires mid-batch.
@@ -84,51 +84,6 @@ func TestAmortizedClockObservations(t *testing.T) {
 		if !found {
 			t.Fatalf("op %s missing from snapshot", name)
 		}
-	}
-}
-
-// TestStatsShardMailboxRows asserts STATS exposes the mailbox tuning
-// line and the spin/park/combine counters, and that the caller-combining
-// fast path actually serves single-connection traffic (combine.caller
-// advances, and the idle shard goroutines park).
-func TestStatsShardMailboxRows(t *testing.T) {
-	srv := startServer(t, Options{Shards: 2})
-	c := dial(t, srv)
-	for i := 0; i < 32; i++ {
-		c.expect(t, fmt.Sprintf("SET %d", i), "1")
-	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		body := readStats(t, c, c.cmd(t, "STATS"))
-		if !strings.Contains(body, "mailbox depth=128 spin-budget=64") {
-			t.Fatalf("STATS missing mailbox config line:\n%s", body)
-		}
-		counts := map[string]int64{}
-		for _, name := range []string{"shard.combine.caller", "shard.combine.shard", "shard.spin", "shard.park"} {
-			row := "op " + name + " count="
-			at := strings.Index(body, row)
-			if at < 0 {
-				t.Fatalf("STATS missing %q row:\n%s", name, body)
-			}
-			var v int64
-			if _, err := fmt.Sscanf(body[at+len(row):], "%d", &v); err != nil {
-				t.Fatalf("parsing %q row: %v", name, err)
-			}
-			counts[name] = v
-		}
-		if counts["shard.combine.caller"] == 0 {
-			t.Fatalf("combine.caller = 0 after 32 pipelined commands; the fast path never ran:\n%s", body)
-		}
-		// Idle shard goroutines exhaust their spin budget and park; give
-		// the scheduler a moment before declaring the counter broken.
-		if counts["shard.park"] > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("shard.park still 0 after %d combines", counts["shard.combine.caller"])
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 

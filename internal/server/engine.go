@@ -1,18 +1,15 @@
-// The data plane: N single-goroutine shards in front of the shared
-// concurrent structures. Keyed commands (the set and map families) hash
-// to a shard that owns a private hash set and string dictionary, so
-// per-key traffic is contention-local by construction — partitioning
-// first, as McKenney puts it. Unkeyed
-// commands (stack, queue, counter, priority queue) are spread round-robin
-// over the shards but execute against shared structures; the shards then
-// serve as a bounded thread set, which is exactly what the combining tree
-// and the metrics counters need: shard i always calls with ThreadID i.
-// Commands travel in batches — contiguous per-connection runs —
-// published quietly into a lock-free MPSC ring (internal/mailbox) and
-// flat-combined by whoever holds the shard's combiner lock: usually the
-// submitting connection itself, which drains the ring and applies its
-// own batch in place, with a dedicated shard goroutine (spin-then-park)
-// as the fallback when combiners collide. One reply slice per batch.
+// The data plane: N locked shards in front of the shared concurrent
+// structures. Keyed commands (the set and map families) hash to a shard
+// that owns a private hash set and string dictionary, so per-key traffic
+// is contention-local by construction — partitioning first, as McKenney
+// puts it. Unkeyed commands (stack, queue, counter, priority queue) are
+// spread round-robin over the shards but execute against shared
+// structures; the shards then serve as a bounded thread set, which is
+// exactly what the combining tree and the metrics counters need: whoever
+// holds shard i's lock calls with ThreadID i. Commands travel in batches
+// — contiguous per-connection runs — and the submitting connection
+// goroutine applies its own batch under the shard's lock: no queue, no
+// shard goroutine, no wakeup. One reply slice per batch.
 package server
 
 import (
@@ -27,7 +24,6 @@ import (
 	"amp/internal/core"
 	"amp/internal/counting"
 	"amp/internal/list"
-	"amp/internal/mailbox"
 	"amp/internal/metrics"
 	"amp/internal/strmap"
 	"amp/internal/txn"
@@ -56,30 +52,28 @@ func errReply(format string, args ...any) reply {
 }
 
 // batch is a contiguous run of commands from one connection (or one
-// direct do call), bound for a single shard and answered as a unit: the
-// shard fills replies — one per command, in order — and sends the slice
-// on resp. Batches, their slices, and their reply channels are recycled
-// through batchPool, so the hot path stops allocating once the pool is
-// warm (the reply-channel pooling the ROADMAP asked for).
+// direct do call), bound for a single shard and answered as a unit:
+// applying it fills replies — one per command, in order. Batches and
+// their slices are recycled through batchPool, so the hot path stops
+// allocating once the pool is warm.
 type batch struct {
 	cmds    []Command
 	replies []reply
 	start   int64 // submit stamp on the engine's coarse clock (see engine.coarse)
-	resp    chan []reply
 
 	// Routing provenance, for staleness detection under live resharding:
 	// the router the submitter consulted and the slot it picked. pinned
 	// marks runs containing keyed commands — only those can go stale (an
-	// unkeyed run is correct on any shard). A combiner that finds a
-	// pinned batch whose slot no longer resolves to its shard redispatches
-	// the commands through the current router instead of executing them.
+	// unkeyed run is correct on any shard). A pinned batch whose slot no
+	// longer resolves to its shard is redispatched through the current
+	// router instead of executed.
 	rt     *router
 	slot   int32
 	pinned bool
 }
 
 var batchPool = sync.Pool{
-	New: func() any { return &batch{resp: make(chan []reply, 1)} },
+	New: func() any { return new(batch) },
 }
 
 func getBatch() *batch { return batchPool.Get().(*batch) }
@@ -125,16 +119,14 @@ func (r *router) distinct() []*shard {
 	return out
 }
 
-// shard owns a private set instance, a private string-keyed dictionary,
-// and a lock-free MPSC mailbox drained by a single goroutine. Map
-// commands route by the FNV-1a hash of their key (Command.ShardKey),
-// then resolve collisions inside the shard's dictionary by full-string
-// chaining.
+// shard owns a private set instance and a private string-keyed
+// dictionary. Map commands route by the FNV-1a hash of their key
+// (Command.ShardKey), then resolve collisions inside the shard's
+// dictionary by full-string chaining.
 type shard struct {
 	id   core.ThreadID
 	set  list.Set
 	dict strmap.Map
-	mbox *mailbox.Mailbox[*batch]
 
 	// adSet/adMap alias set/dict when the family runs the adaptive
 	// meta-backend (nil otherwise): the engine consults them for the
@@ -144,27 +136,17 @@ type shard struct {
 	adSet *adaptive.Set
 	adMap *adaptive.Map
 
-	// comb is the combiner lock: whoever holds it is the shard's
-	// single consumer, draining the mailbox and executing batches with
-	// the shard's identity (holding comb is what makes id a valid dense
-	// ThreadID for the width-bounded counters). A submitting connection
-	// goroutine TryLocks it to combine on the spot — the uncontended
-	// fast path costs zero scheduler round-trips — and the dedicated
-	// shard goroutine Locks it as the fallback when producers collide.
-	comb sync.Mutex
-	// run is the combiner's drain scratch, guarded by comb.
-	run []*batch
+	// mu serializes the shard: whoever holds it applies batches with the
+	// shard's identity (holding mu is what makes id a valid dense
+	// ThreadID for the width-bounded counters). A connection goroutine
+	// holds it while applying its own batch; quiesce and reshard hold it
+	// to freeze the shard at a batch boundary.
+	mu sync.Mutex
 }
 
-// shardQueueDepth bounds buffered batches per shard; senders back off
-// when a shard is saturated, which is the natural backpressure (the
-// mailbox's stop flag is the shutdown escape hatch, so a draining
-// server cannot deadlock behind a wedged shard).
-const shardQueueDepth = 128
-
-// clockEvery bounds how stale the shard loop's amortized clock may get:
-// the drain loop re-reads the wall clock after at most this many
-// executed commands instead of once per command. On the pipelined hot
+// clockEvery bounds how stale the amortized clock may get: applying a
+// batch re-reads the wall clock after at most this many executed
+// commands instead of once per command. On the pipelined hot
 // path the clock read is a vDSO call that showed up at ~9% of the
 // profile; one read per 32 commands makes it noise while keeping every
 // latency observation within one refresh of the truth.
@@ -177,15 +159,16 @@ type engine struct {
 	// router is the live slot→shard map consulted by every submitter.
 	// It is replaced wholesale on RESHARD (never mutated in place except
 	// for the per-slot pointer flips the reshard itself performs under
-	// the source shard's combiner lock).
+	// the source shard's lock).
 	router atomic.Pointer[router]
 
-	// all is every shard ever started, in registration order — the
-	// canonical lock order for quiesce and the set abort must close.
-	// aborted gates late registrations (a reshard racing shutdown).
+	// all is every shard ever registered, in registration order — the
+	// canonical lock order for quiesce. aborted is set under allMu, so it
+	// also gates late registrations (a reshard racing shutdown); doBatch
+	// reads it under the shard lock.
 	allMu   sync.Mutex
 	all     []*shard
-	aborted bool
+	aborted atomic.Bool
 
 	// reconfigMu serializes the whole-engine reconfigurations: SAVE,
 	// BGSAVE's collect phase, RESTORE and RESHARD. Everything under it
@@ -193,10 +176,10 @@ type engine struct {
 	reconfigMu sync.Mutex
 
 	// ksGate freezes EXEC commits during a quiesce: every other keyspace
-	// writer runs under a shard combiner lock (which quiesce holds), but
-	// EXEC commits on the connection goroutine. Quiesce takes the write
-	// side after the combiner locks; EXEC holds the read side only around
-	// the commit, never while waiting on a shard, so the order is safe.
+	// writer runs under a shard lock (which quiesce holds), but EXEC
+	// commits outside any shard. Quiesce takes the write side after the
+	// shard locks; EXEC holds the read side only around the commit, never
+	// while waiting on a shard, so the order is safe.
 	ksGate sync.RWMutex
 
 	// ctrBase offsets the counter family after a restore (without the
@@ -218,7 +201,7 @@ type engine struct {
 	// back to even after the last insert, both while holding the full
 	// quiesce. Bypass readers (readLocal) take no lock, so they bracket
 	// each structure access with restoreGen loads and retry through the
-	// mailbox — which blocks behind the quiesce — whenever a restore
+	// shard lock — which blocks behind the quiesce — whenever a restore
 	// overlapped the access. A plain flag would not do: a reader could
 	// observe torn mid-restore state, then find the flag already cleared;
 	// the generation comparison catches that window.
@@ -239,8 +222,7 @@ type engine struct {
 	metrics    *metrics.Registry
 	ext        metrics.Externals // closure-backed counters (bypass, txn)
 	mops       [numOps]*metrics.Op
-	batchSizes *metrics.SizeHistogram // commands combined per shard wakeup
-	wg         sync.WaitGroup
+	batchSizes *metrics.SizeHistogram // commands per applied batch
 
 	// The amortized clock. now is the engine's time source (time.Now
 	// outside tests — see Options.clock); epoch is its reading at
@@ -249,15 +231,12 @@ type engine struct {
 	// read coarse — no clock call at all on those paths — and the
 	// clock is refreshed (one real read, one atomic store) only once
 	// per parse-ahead round and every clockEvery executed commands
-	// inside a combining sweep. Races between refreshers can step the
+	// inside a batch. Races between refreshers can step the
 	// published value backwards by one refresh; observers clamp
 	// negative differences to zero.
 	now    func() time.Time
 	epoch  time.Time
 	coarse atomic.Int64
-	// spinBudget is the resolved per-shard mailbox spin budget, kept for
-	// STATS.
-	spinBudget int
 
 	// Wait-free read bypass state. bypassSet/bypassMap record whether
 	// GET/HGET may execute on the calling (connection) goroutine —
@@ -266,8 +245,8 @@ type engine struct {
 	// The counters split served reads by path for STATS.
 	bypassSet   bool
 	bypassMap   bool
-	readBypass  metrics.FlatCounter // reads served on connection goroutines
-	readMailbox metrics.FlatCounter // reads that rode a shard mailbox
+	readBypass  metrics.FlatCounter // reads served without the shard lock
+	readMailbox metrics.FlatCounter // reads applied in a batch under the shard lock
 
 	// Adaptive morphing state. bypassDynSet/bypassDynMap mark families
 	// whose bypass capability is dynamic — the adaptive backends, where
@@ -279,16 +258,14 @@ type engine struct {
 	morphOn      bool
 	morphFlips   metrics.FlatCounter
 
-	// Combiner-path split for STATS: drains performed inline by a
-	// submitting connection goroutine versus by the dedicated shard
-	// goroutine after a lost combiner race (or a spin/park wakeup).
+	// combCaller counts applied batches, all applied by their caller.
+	// STATS keeps the row name shard.combine.caller because external
+	// readers (servebench) parse it.
 	combCaller metrics.FlatCounter
-	combShard  metrics.FlatCounter
 
-	// applyHook, when set (tests only), runs on the combining goroutine
-	// (the shard goroutine, or a caller holding the combiner lock)
-	// before each command applies — the seam whitebox interleaving tests
-	// use to wedge a shard mid-drain.
+	// applyHook, when set (tests only), runs under the shard lock before
+	// each command applies — the seam whitebox interleaving tests use to
+	// wedge a shard mid-batch.
 	applyHook func(Command)
 
 	// restoreHook, when set (tests only), runs inside loadSnapshot's
@@ -298,7 +275,7 @@ type engine struct {
 	restoreHook func()
 }
 
-// newEngine builds the structures and starts one goroutine per shard.
+// newEngine builds the structures and the boot shards.
 func newEngine(o Options) (*engine, error) {
 	setEnt, err := lookup("set", o.Set, setBackends)
 	if err != nil {
@@ -333,23 +310,11 @@ func newEngine(o Options) (*engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	newMetricsCounter, err := lookup("metrics-counter", o.MetricsCounter, counterBackends)
-	if err != nil {
-		return nil, err
-	}
 	ks, err := newKeyspace(o)
 	if err != nil {
 		return nil, err
 	}
 
-	spin := o.SpinBudget
-	switch {
-	case spin == 0:
-		spin = mailbox.DefaultSpinBudget
-	case spin < 0:
-		spin = 0
-	}
-	factory := func() counting.Counter { return newMetricsCounter(o) }
 	e := &engine{
 		opts:       o,
 		setEnt:     setEnt,
@@ -359,11 +324,10 @@ func newEngine(o Options) (*engine, error) {
 		pq:         newPQ(o),
 		counter:    newCounter(o),
 		ks:         ks,
-		metrics:    metrics.NewRegistry(factory, allMetricNames()...),
-		batchSizes: metrics.NewSizeHistogram(factory),
+		metrics:    metrics.NewRegistry(nil, allMetricNames()...),
+		batchSizes: metrics.NewSizeHistogram(nil),
 		now:        o.clock,
 		epoch:      o.clock(),
-		spinBudget: spin,
 	}
 	// HGET bypass: safe whenever the keyspace serves it (tvar reads are
 	// goroutine-agnostic) or the map backend advertises the capability.
@@ -379,25 +343,6 @@ func newEngine(o Options) (*engine, error) {
 		e.readBypass.External("read.bypass"),
 		e.readMailbox.External("read.mailbox"),
 		e.combCaller.External("shard.combine.caller"),
-		e.combShard.External("shard.combine.shard"),
-		// The shard goroutines' drain behavior, summed over shards: how
-		// often a Get resolved during the spin phase versus actually
-		// parking. The closures take the shard census at snapshot time,
-		// after the loop below has populated it.
-		metrics.External{Name: "shard.spin", Read: func() int64 {
-			var n int64
-			for _, s := range e.allShards() {
-				n += s.mbox.Spins()
-			}
-			return n
-		}},
-		metrics.External{Name: "shard.park", Read: func() int64 {
-			var n int64
-			for _, s := range e.allShards() {
-				n += s.mbox.Parks()
-			}
-			return n
-		}},
 		e.snapSaves.External("snap.save"),
 		e.snapFails.External("snap.fail"),
 	}
@@ -420,21 +365,18 @@ func newEngine(o Options) (*engine, error) {
 		s := e.newShard(core.ThreadID(i))
 		rt.slots[i].Store(s)
 		e.register(s)
-		go e.serve(s)
 	}
 	e.router.Store(rt)
 	return e, nil
 }
 
 // newShard builds one shard with the configured backends; the caller
-// registers it and starts its serve goroutine.
+// registers it.
 func (e *engine) newShard(id core.ThreadID) *shard {
 	s := &shard{
 		id:   id,
 		set:  e.setEnt.make(e.opts),
 		dict: e.mapEnt.make(e.opts),
-		mbox: mailbox.New[*batch](shardQueueDepth, e.opts.SpinBudget),
-		run:  make([]*batch, 0, shardQueueDepth),
 	}
 	if e.setEnt.adaptive {
 		s.adSet = s.set.(*adaptive.Set)
@@ -445,20 +387,19 @@ func (e *engine) newShard(id core.ThreadID) *shard {
 	return s
 }
 
-// register adds a shard to the census and accounts its serve goroutine;
-// false when the engine already aborted (the shard must not start).
+// register adds a shard to the census; false when the engine already
+// aborted (the shard must not be routed to).
 func (e *engine) register(s *shard) bool {
 	e.allMu.Lock()
 	defer e.allMu.Unlock()
-	if e.aborted {
+	if e.aborted.Load() {
 		return false
 	}
 	e.all = append(e.all, s)
-	e.wg.Add(1)
 	return true
 }
 
-// allShards snapshots the census: every shard started so far, in
+// allShards snapshots the census: every shard registered so far, in
 // registration order (slot order at boot, split halves appended by
 // reshard).
 func (e *engine) allShards() []*shard {
@@ -467,47 +408,38 @@ func (e *engine) allShards() []*shard {
 	return append([]*shard(nil), e.all...)
 }
 
-// stop terminates the shard goroutines after they finish draining every
-// batch already accepted, and waits out any background snapshot writer.
+// stop aborts the engine and waits out any background snapshot writer.
 // Callers must guarantee no further do/doBatch calls (the server waits
 // for all connections first).
 func (e *engine) stop() {
 	e.abort()
 	e.snapWG.Wait()
-	e.wg.Wait()
 }
 
-// abort closes every shard mailbox: submitters stuck backing off
-// against a saturated shard give up instead of blocking forever, new
-// submissions fail fast, and each shard goroutine exits once it has
-// drained what was already published. The server fires it when the
-// shutdown drain deadline expires, so pipelined clients parked in
-// submit cannot deadlock the drain; stop fires it unconditionally.
-// Idempotent (mailbox.Close is). The aborted flag keeps a racing reshard
-// from starting shards whose mailboxes would never close: registration
-// and abort serialize on allMu.
+// abort makes every later batch fail fast: a doBatch that takes its
+// shard lock after abort returns ok=false without executing anything —
+// including one that was blocked behind a wedged batch when the
+// shutdown drain deadline expired. A batch already applying finishes.
+// Set under allMu, so a reshard racing shutdown cannot register a shard
+// after it. Idempotent.
 func (e *engine) abort() {
 	e.allMu.Lock()
-	e.aborted = true
-	all := append([]*shard(nil), e.all...)
+	e.aborted.Store(true)
 	e.allMu.Unlock()
-	for _, s := range all {
-		s.mbox.Close()
-	}
 }
 
-// canBypass reports whether cmd may skip the shard mailbox and execute
-// on the calling goroutine. Only read-pure keyed ops qualify, and only
-// when the serving backend's reads are goroutine-agnostic (registry
-// capability, or the transactional keyspace for HGET). Callers inside a
-// MULTI window never ask: staged reads ride the tvar commit protocol.
+// canBypass reports whether cmd may execute without the shard lock.
+// Only read-pure keyed ops qualify, and only when the serving backend's
+// reads are goroutine-agnostic (registry capability, or the
+// transactional keyspace for HGET). Callers inside a MULTI window never
+// ask: staged reads ride the tvar commit protocol.
 //
 // On the adaptive backends the answer is per-shard and per-moment: the
 // bypass holds exactly while the key's shard is on its read-optimized
 // member, so the engine asks the shard's live container. A morph racing
 // between this check and the read is handled by readLocal's revalidation
 // (TryGet/TryContains report served=false and the command falls through
-// to the mailbox path). Crucially the check is false while a shard is on
+// to the locked path). Crucially the check is false while a shard is on
 // the write ladder, so reads keep riding batches there instead of
 // cutting every pipelined run in two.
 func (e *engine) canBypass(cmd Command) bool {
@@ -539,7 +471,7 @@ func (e *engine) canBypass(cmd Command) bool {
 // too-late reader can observe — but observing it means the reader's
 // structure access synchronized with the migrator (the backends publish
 // with release stores), so this re-load is guaranteed to see the flip
-// and the read retries through the mailbox instead of serving a miss.
+// and the read retries under the shard lock instead of serving a miss.
 func (e *engine) moved(rt *router, si int, s *shard) bool {
 	cur := e.router.Load()
 	return cur != rt || cur.shard(si) != s
@@ -550,7 +482,7 @@ func (e *engine) moved(rt *router, si int, s *shard) bool {
 // structure access. An odd sample means the access started mid-restore;
 // a changed value means a restore began (and possibly finished) during
 // the access. Either way the read may have observed the half-restored
-// keyspace and must retry through the mailbox, where it parks behind
+// keyspace and must retry under the shard lock, where it waits behind
 // the restore's quiesce.
 func (e *engine) restoreTorn(g uint64) bool {
 	return g&1 != 0 || e.restoreGen.Load() != g
@@ -558,9 +490,10 @@ func (e *engine) restoreTorn(g uint64) bool {
 
 // readLocal serves one bypass-eligible read on the calling goroutine:
 // the wait-free read fast path. The shard's structure is located exactly
-// as the mailbox path would (same hash, same shard), but Contains/Get is
-// invoked directly — under the structure's own epoch pin where it needs
-// one — racing whatever batch the shard goroutine is applying. That race
+// as the locked path would (same hash, same shard), but Contains/Get is
+// invoked without the shard lock — under the structure's own epoch pin
+// where it needs one — racing whatever batch the lock holder is
+// applying. That race
 // is safe precisely because the registry capability asserted it: the
 // backends publish nodes with atomic stores and retire them through
 // epoch domains, so a concurrent reader observes each write either
@@ -568,14 +501,14 @@ func (e *engine) restoreTorn(g uint64) bool {
 // load inside the call window.
 //
 // Program order is the caller's job: the server flushes (and awaits) any
-// open mailbox run on the connection before calling readLocal, so a read
-// never overtakes this connection's earlier writes.
+// open run on the connection before calling readLocal, so a read never
+// overtakes this connection's earlier writes.
 //
 // served=false means an adaptive shard morphed off its read-optimized
 // member between canBypass and here, a reshard moved the key's slot off
 // the shard mid-read (engine.moved), or a RESTORE's mutation phase
 // overlapped the access (engine.restoreTorn); the command was not
-// executed and must ride the mailbox instead.
+// executed and must ride a batch instead.
 func (e *engine) readLocal(cmd Command) (reply, bool) {
 	// Sample the restore generation before touching any structure; the
 	// post-access restoreTorn check rejects reads that raced a RESTORE.
@@ -674,66 +607,47 @@ func (e *engine) nextShard(rt *router) int { return int(e.rr.Add(1)-1) % rt.n() 
 
 // doBatch executes a filled batch on slot si of router rt and returns
 // its replies, one per command, in order. Callers stamp b.start and set
-// b.pinned. ok is false when the engine aborted (or aborted while the
-// shard mailbox was full); the batch was not executed and still belongs
-// to the caller.
+// b.pinned. ok is false when the engine aborted; the batch was not
+// executed and still belongs to the caller.
 //
-// The fast path never touches the mailbox at all: the caller bids for
-// the shard's combiner lock first and, on success, drains whatever
-// other producers already published (FIFO fairness), then applies its
-// own batch right here on the connection goroutine — no enqueue, no
-// reply-channel round-trip, no other goroutine involved. Only when
-// another combiner already owns the shard does the caller publish the
-// batch and wait, re-bidding for the lock once (the owner may have
-// finished its final drain just before our publish) and otherwise
-// kicking the dedicated shard goroutine.
+// The caller applies its own batch: lock the shard, refuse if the
+// engine aborted, redispatch if the batch went stale, apply, unlock. No
+// other goroutine is involved, so no wakeup is ever issued; concurrent
+// callers for one shard simply queue on its lock.
 //
 // A concurrent RESHARD can strand the batch: its keys were routed under
 // rt, but by execution time the current router may map them elsewhere.
-// The staleness check runs under the shard's combiner lock, which is
-// exactly what a reshard holds while it splits that shard, so a batch
-// that passes the check executes against a slot assignment that cannot
-// change until the lock is released (an alias-phase router swap can
-// intervene, but aliasing maps the batch's keys to the same shard). A
-// stale batch is redispatched per command through the current router;
-// forward progress holds because redispatch always targets strictly
-// newer routers.
+// The staleness check runs under the shard's lock, which is exactly what
+// a reshard holds while it splits that shard, so a batch that passes the
+// check executes against a slot assignment that cannot change until the
+// lock is released (an alias-phase router swap can intervene, but
+// aliasing maps the batch's keys to the same shard). A stale batch is
+// redispatched per command through the current router after the lock is
+// dropped; forward progress holds because redispatch always targets
+// strictly newer routers.
 func (e *engine) doBatch(rt *router, si int, b *batch) ([]reply, bool) {
 	b.rt, b.slot = rt, int32(si)
 	s := rt.shard(si)
-	if s.comb.TryLock() {
-		if s.mbox.Closed() {
-			s.comb.Unlock()
-			return nil, false
-		}
-		if e.staleBatch(b, s) {
-			s.comb.Unlock()
-			return e.redispatch(b), true
-		}
-		e.combine(s)
-		rs := e.applyDirect(s, b)
-		s.comb.Unlock()
-		e.combCaller.Inc()
-		return rs, true
-	}
-	if !e.submit(s, b) {
+	s.mu.Lock()
+	if e.aborted.Load() {
+		s.mu.Unlock()
 		return nil, false
 	}
-	if s.comb.TryLock() {
-		e.combine(s)
-		s.comb.Unlock()
-		e.combCaller.Inc()
-	} else {
-		s.mbox.Kick()
+	if e.staleBatch(b, s) {
+		s.mu.Unlock()
+		return e.redispatch(b), true
 	}
-	return <-b.resp, true
+	e.applyBatch(s, b)
+	s.mu.Unlock()
+	e.combCaller.Inc()
+	return b.replies, true
 }
 
 // staleBatch reports whether a pinned batch's routing no longer holds:
 // the router moved on and its slot no longer resolves to the shard the
-// batch was queued for. Callers hold s.comb, so a false answer is
-// stable for the duration of the critical section (the slot flip for
-// keys homed on s happens under this same lock).
+// batch was routed to. Callers hold s.mu, so a false answer is stable
+// for the duration of the critical section (the slot flip for keys
+// homed on s happens under this same lock).
 func (e *engine) staleBatch(b *batch, s *shard) bool {
 	if !b.pinned {
 		return false // unkeyed runs execute correctly on any shard
@@ -743,26 +657,13 @@ func (e *engine) staleBatch(b *batch, s *shard) bool {
 }
 
 // redispatch replays a stale batch one command at a time through the
-// current router, filling the batch's replies in order. Used directly
-// by the caller-combining path (nothing held) and via a rescue
-// goroutine from combine (which must not block while holding a
-// combiner lock).
+// current router, filling the batch's replies in order. Callers hold no
+// shard lock.
 func (e *engine) redispatch(b *batch) []reply {
 	for _, cmd := range b.cmds {
 		b.replies = append(b.replies, e.do(cmd))
 	}
 	return b.replies
-}
-
-// submit enqueues b on its shard mailbox, quietly: the caller is about
-// to bid for the combiner lock itself, so the parked shard goroutine is
-// left alone. The fast path is one CAS plus one store; when the ring is
-// full, the put backs off (yielding the processor to a combiner) but
-// abandons the wait once abort closes the mailbox — the unbounded-wait
-// footgun fix: a draining server must not leave connection goroutines
-// parked on a saturated shard forever.
-func (e *engine) submit(s *shard, b *batch) bool {
-	return s.mbox.PutQuiet(b)
 }
 
 // refreshCoarse publishes a fresh coarse-clock reading and returns it:
@@ -781,116 +682,20 @@ func keyShard(key int64, n int) int {
 	return int((uint64(key) * fib64 >> 17) % uint64(n))
 }
 
-// serve is the dedicated shard goroutine: the fallback combiner. Under
-// caller-combining it runs only when producers collide on the shard —
-// a submitter that loses the combiner race kicks it — or on a genuine
-// wakeup after idling. The blocking wait is the mailbox's
-// spin-then-park WaitNonempty: a bounded number of empty polls rides
-// out the gap between pipelined batches without a scheduler
-// round-trip, only a genuinely idle shard parks, and a false return
-// means closed-and-drained — the shutdown signal, replacing the
-// closed-channel range.
-func (e *engine) serve(s *shard) {
-	defer e.wg.Done()
-	for {
-		if !s.mbox.WaitNonempty() {
-			return // closed and fully drained
-		}
-		s.comb.Lock()
-		e.combine(s)
-		s.comb.Unlock()
-		e.combShard.Inc()
-	}
-}
-
-// combine drains and executes everything published to s's mailbox: the
-// flat-combining pass (the book's Chs. 11–12 argument rendered at the
-// shard mailbox). Each sweep takes every batch already published and
-// applies the whole run against the backends before looking for more,
-// amortizing one synchronization round-trip over the run; each batch is
-// answered as soon as its own commands are done, so early submitters
-// are not held hostage to the rest of the run.
-//
-// Callers must hold s.comb: the combiner lock serializes ring
-// consumption (TryGet is single-consumer) and makes s.id a valid dense
-// ThreadID for the width-bounded counters while combining.
-//
-// Two amortizations live in the loop. The clock: latencies are
-// measured against a wall-clock reading refreshed every clockEvery
-// executed commands, not one read per command. And the metrics:
-// consecutive same-op commands within a batch fold into a single
-// ObserveN — one ticket fetch and one bucket increment for the whole
-// span — which is exactly the shape pipelined load has.
-func (e *engine) combine(s *shard) {
-	for {
-		b, ok := s.mbox.TryGet()
-		if !ok {
-			return
-		}
-		run := append(s.run[:0], b)
-		for len(run) < shardQueueDepth {
-			more, ok := s.mbox.TryGet()
-			if !ok {
-				break
-			}
-			run = append(run, more)
-		}
-		// Record the run size before answering anyone: a caller that has
-		// its replies is then guaranteed to see the observation too (the
-		// resp send orders it), so STATS and tests read a consistent
-		// histogram right after a round-trip.
-		combined := 0
-		for _, b := range run {
-			combined += len(b.cmds)
-		}
-		e.batchSizes.Observe(int64(combined), s.id)
-		now := e.coarse.Load() // no clock call: the round's refresh is recent
-		stale := 0             // commands executed since the last refresh
-		for _, b := range run {
-			if e.staleBatch(b, s) {
-				// A reshard moved this batch's keys off s while it sat in
-				// the mailbox. Replay it through the current router on a
-				// rescue goroutine — never synchronously: redispatch can
-				// block on another shard's mailbox, and blocking while
-				// holding s.comb could deadlock against a quiesce that
-				// holds that shard and wants this one. The submitter is
-				// still parked on b.resp; the rescue answers it.
-				go func(b *batch) {
-					e.redispatch(b)
-					b.resp <- b.replies
-				}(b)
-				continue
-			}
-			e.applyBatch(s, b, &now, &stale)
-			b.resp <- b.replies
-		}
-		// Drop the batch references: the batches are back in the pool
-		// (or their owners' hands) the moment they are answered.
-		for i := range run {
-			run[i] = nil
-		}
-		s.run = run[:0]
-	}
-}
-
-// applyDirect is the caller-combining fast path's tail: execute one
-// batch that never entered the mailbox. Callers hold s.comb and have
-// already drained the mailbox, so published batches from other
-// producers are not overtaken.
-func (e *engine) applyDirect(s *shard, b *batch) []reply {
+// applyBatch executes one batch's commands under s.mu, filling
+// b.replies in order. Two amortizations live in the loop. The clock:
+// latencies are measured against a wall-clock reading refreshed every
+// clockEvery executed commands, not one read per command. And the
+// metrics: consecutive same-op commands fold into a single ObserveN —
+// one ticket fetch and one bucket increment for the whole span — which
+// is exactly the shape pipelined load has.
+func (e *engine) applyBatch(s *shard, b *batch) {
+	// Record the batch size before answering: a caller that has its
+	// replies is then guaranteed to see the observation too, so STATS and
+	// tests read a consistent histogram right after a round-trip.
 	e.batchSizes.Observe(int64(len(b.cmds)), s.id)
-	now := e.coarse.Load()
-	stale := 0
-	e.applyBatch(s, b, &now, &stale)
-	return b.replies
-}
-
-// applyBatch executes one batch's commands under s.comb, filling
-// b.replies in order. Consecutive same-op spans fold into one bulk
-// latency observation, and now/stale thread the amortized clock
-// through the caller's sweep: the wall clock is re-read only every
-// clockEvery executed commands.
-func (e *engine) applyBatch(s *shard, b *batch, now *int64, stale *int) {
+	now := e.coarse.Load() // no clock call: the round's refresh is recent
+	stale := 0             // commands executed since the last refresh
 	cmds := b.cmds
 	for i := 0; i < len(cmds); {
 		op := cmds[i].Op
@@ -899,12 +704,12 @@ func (e *engine) applyBatch(s *shard, b *batch, now *int64, stale *int) {
 			b.replies = append(b.replies, e.execute(s, cmds[j]))
 			j++
 		}
-		if *stale += j - i; *stale >= clockEvery {
-			*now = e.refreshCoarse()
-			*stale = 0
+		if stale += j - i; stale >= clockEvery {
+			now = e.refreshCoarse()
+			stale = 0
 		}
 		if mop := e.mops[op]; mop != nil {
-			d := time.Duration(*now - b.start)
+			d := time.Duration(now - b.start)
 			if d < 0 {
 				d = 0 // a racing refresh stepped the clock back
 			}
@@ -915,9 +720,8 @@ func (e *engine) applyBatch(s *shard, b *batch, now *int64, stale *int) {
 	e.afterBatch(s)
 }
 
-// afterBatch is the adaptive backends' morph point: it runs on the
-// combining goroutine right after a batch applies, while s.comb still
-// serializes every writer, so a Tick that decides to morph migrates a
+// afterBatch is the adaptive backends' morph point: it runs right after
+// a batch applies, while s.mu still serializes every writer, so a Tick that decides to morph migrates a
 // structure with zero concurrent mutators. No-op unless morphing is on.
 func (e *engine) afterBatch(s *shard) {
 	if !e.morphOn {
@@ -936,8 +740,8 @@ func (e *engine) afterBatch(s *shard) {
 }
 
 // execute applies one command against the shard's set or the shared
-// structures. It runs under the shard's combiner lock, so s.id is a
-// valid dense ThreadID for the width-bounded counters.
+// structures. It runs under the shard's lock, so s.id is a valid dense
+// ThreadID for the width-bounded counters.
 func (e *engine) execute(s *shard, cmd Command) reply {
 	if e.applyHook != nil {
 		e.applyHook(cmd)
@@ -986,8 +790,8 @@ func (e *engine) execute(s *shard, cmd Command) reply {
 			return reply{status: stInt, val: e.ks.Incr(cmd.Key, cmd.Arg)}
 		}
 		// Without the keyspace, read-modify-write is still atomic per
-		// key: HINCR is keyed, so every command for this key executes on
-		// this shard goroutine against the shard-private dictionary.
+		// key: HINCR is keyed, so every command for this key executes
+		// under this shard's lock against the shard-private dictionary.
 		v, _ := s.dict.Get(cmd.Key) // absent reads as 0
 		v += cmd.Arg
 		s.dict.Set(cmd.Key, v)
@@ -1071,9 +875,8 @@ func boolInt(b bool) int64 {
 
 // execTxn commits one staged MULTI buffer atomically through the
 // transactional keyspace, returning one reply per staged command in
-// order. It runs on the connection goroutine, not on any shard: cross-
-// shard atomicity comes from the STM commit protocol, so the buffer
-// never travels through the shard mailboxes at all.
+// order. It runs on the connection goroutine without any shard lock:
+// cross-shard atomicity comes from the STM commit protocol.
 func (e *engine) execTxn(staged []Command) []reply {
 	ops := make([]txn.Op, len(staged))
 	for i, cmd := range staged {
@@ -1093,10 +896,10 @@ func (e *engine) execTxn(staged []Command) []reply {
 		}
 	}
 	// The read side of ksGate lets a quiescing snapshot (which already
-	// holds every shard combiner, freezing all other keyspace writers)
-	// freeze EXEC commits too — the one keyspace mutator that runs on a
-	// connection goroutine. Held only around the commit; Exec never waits
-	// on a shard, so this cannot deadlock against the quiesce lock order.
+	// holds every shard lock, freezing all other keyspace writers) freeze
+	// EXEC commits too — the one keyspace mutator that runs outside a
+	// shard lock. Held only around the commit; Exec never waits on a
+	// shard, so this cannot deadlock against the quiesce lock order.
 	e.ksGate.RLock()
 	results := e.ks.Exec(ops)
 	e.ksGate.RUnlock()
@@ -1130,8 +933,8 @@ func (e *engine) txStatsLine() string {
 func (e *engine) statsBody() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "shards %d\n", e.router.Load().n())
-	fmt.Fprintf(&sb, "backend set=%s map=%s queue=%s stack=%s pqueue=%s counter=%s metrics-counter=%s\n",
-		e.opts.Set, e.opts.Map, e.opts.Queue, e.opts.Stack, e.opts.PQueue, e.opts.Counter, e.opts.MetricsCounter)
+	fmt.Fprintf(&sb, "backend set=%s map=%s queue=%s stack=%s pqueue=%s counter=%s\n",
+		e.opts.Set, e.opts.Map, e.opts.Queue, e.opts.Stack, e.opts.PQueue, e.opts.Counter)
 	fmt.Fprintf(&sb, "snap %s\n", e.snapLine())
 	if e.ks != nil {
 		fmt.Fprintf(&sb, "txn engine=%s cm=%s\n", e.opts.Txn, e.opts.CM)
@@ -1141,7 +944,6 @@ func (e *engine) statsBody() string {
 	fmt.Fprintf(&sb, "read-bypass set=%s map=%s\n", e.bypassState(e.bypassSet, e.bypassDynSet),
 		e.bypassState(e.bypassMap, e.bypassDynMap))
 	sb.WriteString(e.morphLines())
-	fmt.Fprintf(&sb, "mailbox depth=%d spin-budget=%d\n", shardQueueDepth, e.spinBudget)
 	sb.WriteString(e.batchSizes.Format("shard.batch"))
 	sb.WriteString(e.metrics.Format())
 	sb.WriteString(e.ext.Format())

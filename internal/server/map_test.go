@@ -304,7 +304,7 @@ func TestServerLinearizableMapShardCollision(t *testing.T) {
 // argument and every HSET cut the run.
 func TestPipelinedStringRunsBatch(t *testing.T) {
 	// Bypass off: with it on, the HGETs would (correctly) skip the
-	// mailbox and the run under test would shrink to the writes.
+	// shard lock and the run under test would shrink to the writes.
 	srv, err := New(Options{Shards: 4, ReadBypass: "off"})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -365,7 +365,7 @@ func TestPipelinedStringRunsBatch(t *testing.T) {
 // TestPipelinedBypassReplyOrder is the bypass twin of
 // TestPipelinedStringRunsBatch: the same burst with the read bypass on
 // (default txn=tl2 makes every HGET bypass-capable) must still answer in
-// exact line order — interleaving mailbox replies (HSET, INC) with
+// exact line order — interleaving batch replies (HSET, INC) with
 // bypass replies (HGET) — while only the mutations travel to the shard:
 // one combined run of 7 (6 HSETs + INC), the reads served in place.
 func TestPipelinedBypassReplyOrder(t *testing.T) {
@@ -420,6 +420,6 @@ func TestPipelinedBypassReplyOrder(t *testing.T) {
 		t.Errorf("read.bypass = %d, want %d (every HGET should bypass)", n, len(keys)+1)
 	}
 	if s := srv.eng.batchSizes.Sum(); s != int64(len(keys)+1) {
-		t.Errorf("shard.batch sum = %d, want %d (only mutations ride the mailbox)", s, len(keys)+1)
+		t.Errorf("shard.batch sum = %d, want %d (only mutations ride a batch)", s, len(keys)+1)
 	}
 }

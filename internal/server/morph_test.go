@@ -31,7 +31,7 @@ func TestMorphStatsUnderPhaseShift(t *testing.T) {
 
 	// Read phase: a pure-read window jumps each family to its
 	// read-optimized member (set: lockfree, map: epoch). These reads ride
-	// the mailbox — coarse has no bypass — and their tick morphs.
+	// a batch — coarse has no bypass — and their tick morphs.
 	c.expect(t, "GET 5", "1")
 	c.expect(t, "HGET k", "1")
 

@@ -152,7 +152,7 @@ func simulatePipeline(data []byte, txnOff bool) (exps []pipeExpect, consume int)
 // through transactions. With txnOff the four transaction verbs answer
 // ERR and no window ever opens — the -txn off server config FuzzPipeline
 // runs on even chunk bytes. Reply counts and order are identical whether
-// a read rides the mailbox or the wait-free bypass, which is exactly the
+// a read rides a batch or the wait-free bypass, which is exactly the
 // property the fuzzer pins: bypassed replies must interleave back into
 // line order.
 type pipeSim struct {
@@ -292,9 +292,9 @@ func FuzzPipeline(f *testing.F) {
 		}
 		// Even chunk bytes swap in the epoch-backed bypass config: every
 		// GET/HGET is served on the connection goroutine under an epoch
-		// pin instead of riding the shard mailbox, and with transactions
+		// pin instead of riding a batch, and with transactions
 		// off the MULTI verbs answer ERR. Odd bytes keep the default
-		// engine (striped set — GET on the mailbox — and HGET bypassing
+		// engine (striped set — GET in a batch — and HGET bypassing
 		// via the tl2 keyspace), so both read paths face the same oracle.
 		txnOff := chunk%2 == 0
 		opts := Options{Shards: 2}

@@ -1,20 +1,21 @@
 // The network front-end: accept loop, per-connection pipelined
-// read/parse/execute/write loop (parse ahead, batch per shard, flush per
-// batch), and graceful shutdown (stop accepting, wake idle readers,
-// finish in-flight commands, then force-close stragglers and stop the
-// shards).
+// read/parse/execute/write loop (parse ahead, cut the batch into
+// per-shard runs, apply each run under its shard's lock on the
+// connection goroutine, flush per batch), and graceful shutdown (stop
+// accepting, wake idle readers, finish in-flight commands, then
+// force-close stragglers and stop the engine).
 //
 // Reads have a second path. When the selected backend is epoch-safe
 // (lock-free set backends, the epoch map, or the transactional keyspace),
-// GET and HGET skip the shard mailbox entirely and execute on the
-// connection goroutine under an epoch pin — the wait-free read bypass.
-// serveBatch keeps program order by flushing (and awaiting) the open
-// mailbox run before serving such a read in place, so a read never
-// overtakes the connection's own earlier writes, and reply order stays
-// line order by construction. Reads staged inside a MULTI window, reads
-// on non-epoch-safe backends, and everything under -read-bypass=off ride
-// the mailbox as before. STATS splits the traffic in the
-// `op read.bypass` / `op read.mailbox` rows.
+// GET and HGET skip the shard lock entirely and execute under an epoch
+// pin — the wait-free read bypass. serveBatch keeps program order by
+// applying the open run before serving such a read in place, so a read
+// never overtakes the connection's own earlier writes, and reply order
+// stays line order by construction. Reads staged inside a MULTI window,
+// reads on non-epoch-safe backends, and everything under
+// -read-bypass=off ride a run under the shard lock. STATS splits the
+// traffic in the `op read.bypass` / `op read.mailbox` rows (the second
+// name predates the shard lock).
 package server
 
 import (
@@ -35,7 +36,7 @@ import (
 
 // Server is the ampserved TCP server. Construct with New, then Listen and
 // Serve (or ListenAndServe); always Shutdown, even if Serve was never
-// called, to stop the shard goroutines.
+// called, to stop the engine.
 type Server struct {
 	opts Options
 	eng  *engine
@@ -48,8 +49,7 @@ type Server struct {
 	shutdown sync.Once
 }
 
-// New builds the data plane (validating backend names) and starts the
-// shard goroutines.
+// New builds the data plane, validating backend names.
 func New(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	eng, err := newEngine(opts)
@@ -155,7 +155,7 @@ func (s *Server) untrack(conn net.Conn) {
 
 // maxBatch caps the commands a connection collects per parse-ahead
 // round. It bounds per-connection memory and keeps one chatty pipeliner
-// from monopolizing its shards for too long per wakeup.
+// from holding a shard lock for too long per run.
 const maxBatch = 128
 
 // lineItem is one parsed line of a pipelined batch: a command, or the
@@ -295,23 +295,22 @@ func readLine(r *bufio.Reader) ([]byte, error) {
 // pins the open run to its key's shard, unkeyed commands ride along with
 // whatever run is open (any shard may execute them), and a keyed command
 // for a different shard — or a control command or parse error, which
-// must reply in position — cuts the run. Each run travels to its shard
-// as one batch, where the flat-combining loop in engine.serve answers it
-// as a unit; runs are submitted strictly in order, one at a time, which
-// is what preserves per-connection program order across shards.
+// must reply in position — cuts the run. Each run is applied as one
+// batch under its shard's lock (engine.doBatch); runs are applied
+// strictly in order, one at a time, which is what preserves
+// per-connection program order across shards.
 //
 // A MULTI window (ts.active) suspends that machinery: staged lines
 // answer "+QUEUED" in place and never join a run, so nothing travels to
 // the shards until EXEC commits the buffer through the STM keyspace.
 //
 // Bypass-eligible reads (engine.canBypass) never join a run either: the
-// open run is flushed — submitting it and writing its replies, which is
+// open run is flushed — applying it and writing its replies, which is
 // exactly what keeps this connection's earlier writes ahead of the read
-// in program order — and the read executes right here on the connection
-// goroutine via engine.readLocal, its reply written in place. Reply
-// order is therefore position order by construction, interleaving
-// bypass and mailbox replies exactly as the lines arrived, even though
-// the reads never visited a mailbox.
+// in program order — and the read executes without the shard lock via
+// engine.readLocal, its reply written in place. Reply order is therefore
+// position order by construction, interleaving bypass and run replies
+// exactly as the lines arrived.
 //
 // The caller flushes the writer; the return is false when the connection
 // must close (write error, QUIT, or engine shutdown).
@@ -326,7 +325,7 @@ func (s *Server) serveBatch(w *bufio.Writer, items []lineItem, ts *txnState) boo
 	// through the new router.
 	rt := s.eng.router.Load()
 
-	// One latency origin per parse-ahead batch: every run submitted from
+	// One latency origin per parse-ahead batch: every run applied from
 	// this batch measures from here, trading one clock read per run for
 	// one per batch (runs are answered serially, so a later run's
 	// latency legitimately includes its wait behind the earlier ones).
@@ -461,7 +460,7 @@ func (s *Server) serveBatch(w *bufio.Writer, items []lineItem, ts *txnState) boo
 				}
 				// served=false means an adaptive shard morphed off its
 				// read-optimized member under us: fall through and let the
-				// read join a run like any mailbox read.
+				// read join a run like any other read.
 				if r, served := s.eng.readLocal(it.cmd); served {
 					if !s.reply(w, r) {
 						return false
@@ -565,9 +564,9 @@ func (s *Server) replyRaw(w *bufio.Writer, line string) bool {
 
 // Shutdown stops accepting, wakes idle readers so in-flight commands can
 // finish, and waits for connections to drain. When ctx expires first, the
-// remaining connections are force-closed. The shard goroutines stop after
-// the last connection, so every accepted command gets a reply. Safe to
-// call more than once; only the first call does the work.
+// remaining connections are force-closed. The engine stops after the
+// last connection, so every accepted command gets a reply. Safe to call
+// more than once; only the first call does the work.
 func (s *Server) Shutdown(ctx context.Context) error {
 	var err error
 	s.shutdown.Do(func() {
@@ -584,8 +583,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		select {
 		case <-drained:
 		case <-ctx.Done():
-			// Unstick connection goroutines parked on saturated shard
-			// queues, then force-close the sockets.
+			// Make connection goroutines waiting on a wedged shard's lock
+			// give up once they get it, then force-close the sockets.
 			s.eng.abort()
 			s.eachConn(func(c net.Conn) { c.Close() })
 			<-drained

@@ -9,11 +9,11 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"amp/internal/core"
-	"amp/internal/mailbox"
 )
 
 // startServer boots a server on a loopback ephemeral port and registers a
@@ -218,21 +218,6 @@ func TestBackendMatrix(t *testing.T) {
 	}
 }
 
-func TestMetricsCounterBackends(t *testing.T) {
-	for _, name := range CounterBackends() {
-		t.Run(name, func(t *testing.T) {
-			srv := startServer(t, Options{Shards: 2, MetricsCounter: name})
-			c := dial(t, srv)
-			c.expect(t, "SET 5", "1")
-			stats := c.cmd(t, "STATS")
-			body := readStats(t, c, stats)
-			if !strings.Contains(body, "op set.add count=1") {
-				t.Fatalf("STATS missing set.add count:\n%s", body)
-			}
-		})
-	}
-}
-
 // readStats consumes a STATS body whose first line is already read.
 func readStats(t *testing.T, c *client, first string) string {
 	t.Helper()
@@ -249,7 +234,7 @@ func readStats(t *testing.T, c *client, first string) string {
 func TestUnknownBackend(t *testing.T) {
 	for _, opts := range []Options{
 		{Set: "nope"}, {Map: "nope"}, {Queue: "nope"}, {Stack: "nope"},
-		{PQueue: "nope"}, {Counter: "nope"}, {MetricsCounter: "nope"},
+		{PQueue: "nope"}, {Counter: "nope"},
 		{Txn: "nope"}, {CM: "nope"},
 	} {
 		if _, err := New(opts); err == nil || !strings.Contains(err.Error(), `"nope"`) {
@@ -397,7 +382,7 @@ func TestStatsCounts(t *testing.T) {
 	c.expect(t, "PUSH 3", "OK")
 	c.expect(t, "INC", "0")
 
-	// Default options: striped set (no bypass — GET rides the mailbox,
+	// Default options: striped set (no bypass — GET rides a batch,
 	// counted under set.contains and read.mailbox) and txn=tl2 (HGET
 	// bypasses via the keyspace, counted under read.bypass, not map.get).
 	body := readStats(t, c, c.cmd(t, "STATS"))
@@ -424,7 +409,7 @@ func TestStatsCounts(t *testing.T) {
 
 // TestStatsCountsBypassOff proves the -read-bypass=off escape hatch: the
 // same traffic with the bypass disabled routes every read through the
-// shard mailboxes, restoring the per-op registry counts.
+// shard locks, restoring the per-op registry counts.
 func TestStatsCountsBypassOff(t *testing.T) {
 	srv := startServer(t, Options{Shards: 2, ReadBypass: "off"})
 	c := dial(t, srv)
@@ -500,34 +485,54 @@ func TestPipelinedBulk(t *testing.T) {
 	}
 }
 
-// TestPipelinedSubmitAbortUnblocks is the regression test for the
-// unbounded-wait footgun: a connection goroutine backing off against a
-// full shard mailbox must give up once the engine aborts, instead of
-// deadlocking a draining server.
-func TestPipelinedSubmitAbortUnblocks(t *testing.T) {
-	e := &engine{}
-	s := &shard{mbox: mailbox.New[*batch](2, 0)}
-	e.all = []*shard{s}
-	for s.mbox.TryPut(&batch{}) {
-		// saturate the ring; nothing drains it
+// TestDoBatchAbortUnblocks: a batch waiting behind a held shard lock
+// must, once the engine aborts and the lock frees, return ok=false and
+// execute nothing — a draining server answers it "shutting down"
+// instead of applying commands after the drain deadline.
+func TestDoBatchAbortUnblocks(t *testing.T) {
+	e, err := newEngine(Options{Shards: 1}.withDefaults())
+	if err != nil {
+		t.Fatalf("newEngine: %v", err)
 	}
+	defer e.stop()
+	var executed atomic.Int64
+	e.applyHook = func(Command) { executed.Add(1) }
+
+	rt := e.router.Load()
+	s := rt.shard(0)
+	s.mu.Lock() // the wedged batch
+	b := getBatch()
+	defer putBatch(b)
+	b.cmds = append(b.cmds, Command{Op: OpSet, Arg: 7})
+	b.pinned = true
+	b.start = e.refreshCoarse()
 
 	res := make(chan bool, 1)
-	go func() { res <- e.submit(s, &batch{}) }()
+	go func() {
+		_, ok := e.doBatch(rt, 0, b)
+		res <- ok
+	}()
 	select {
 	case <-res:
-		t.Fatal("submit returned while the shard queue was full")
+		t.Fatal("doBatch returned while the shard lock was held")
 	case <-time.After(50 * time.Millisecond):
 	}
 
 	e.abort()
+	s.mu.Unlock()
 	select {
 	case ok := <-res:
 		if ok {
-			t.Fatal("submit reported success after abort")
+			t.Fatal("doBatch reported success after abort")
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("submit still blocked after abort: a draining server would deadlock")
+		t.Fatal("doBatch still blocked after abort and unlock")
+	}
+	if n := executed.Load(); n != 0 {
+		t.Fatalf("aborted batch executed %d commands", n)
+	}
+	if s.set.Contains(7) {
+		t.Fatal("aborted batch applied SET 7")
 	}
 }
 
@@ -799,15 +804,14 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestShutdownForcePathSaturatedRing wedges the sole shard's combiner
-// mid-command so that subsequent submitters fill the ring to capacity
-// and overflow into the producer backoff, then drives Shutdown's force
-// path (an already-short drain deadline). The force path must abort the
-// mailbox — unblocking every producer parked on the full ring — and once
-// the wedge releases, every batch already accepted must still be drained
-// and answered: no conn goroutine may be left waiting on a reply, which
-// the goroutine-leak check below would catch, and the shard goroutines
-// must all exit.
+// TestShutdownForcePathSaturatedRing wedges the sole shard mid-command
+// while it holds the shard lock, so that many more clients queue on the
+// lock, then drives Shutdown's force path (an already-short drain
+// deadline). The force path must abort the engine, and once the wedge
+// releases every queued client must be answered or disconnected: no conn
+// goroutine may be left waiting on the lock, which the goroutine-leak
+// check below would catch. (The name dates from the bounded ring that
+// used to sit in front of each shard.)
 func TestShutdownForcePathSaturatedRing(t *testing.T) {
 	before := runtime.NumGoroutine()
 
@@ -821,9 +825,9 @@ func TestShutdownForcePathSaturatedRing(t *testing.T) {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve() }()
 
-	// The wedge: the first SET 424242 parks its combining goroutine (the
-	// submitting connection itself, holding the combiner lock) until the
-	// test releases it. Installed before any traffic.
+	// The wedge: the first SET 424242 parks its connection goroutine,
+	// holding the shard lock, until the test releases it. Installed before
+	// any traffic.
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var wedged sync.Once
@@ -844,12 +848,12 @@ func TestShutdownForcePathSaturatedRing(t *testing.T) {
 	if _, err := wedgeConn.Write([]byte("SET 424242\n")); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	<-entered // combiner lock held, nothing will drain the ring
+	<-entered // shard lock held
 
-	// Saturate: more single-batch connections than the ring holds, so the
-	// overflow parks inside the producer backoff. Every client must
-	// eventually unblock — with a reply or a dead socket, never a hang.
-	const clients = shardQueueDepth + 24
+	// Saturate: many single-batch connections, all queued on the wedged
+	// shard's lock. Every client must eventually unblock — with a reply or
+	// a dead socket, never a hang.
+	const clients = 152
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
@@ -865,11 +869,11 @@ func TestShutdownForcePathSaturatedRing(t *testing.T) {
 			bufio.NewReader(conn).ReadString('\n')
 		}(i)
 	}
-	time.Sleep(300 * time.Millisecond) // let the ring fill and producers park
+	time.Sleep(300 * time.Millisecond) // let the clients queue on the lock
 
 	// Force path: the deadline is far shorter than the wedge, so the
-	// drain expires, abort closes the mailboxes, and the parked producers
-	// give up while the wedge is still in place.
+	// drain expires and abort fires while the wedge is still in place;
+	// the queued batches give up as each gets the lock.
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	shutdownErr := make(chan error, 1)
@@ -885,9 +889,8 @@ func TestShutdownForcePathSaturatedRing(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Every accepted batch was answered (a dropped reply would leave its
-	// connection goroutine parked on the reply channel forever) and the
-	// shard goroutines are gone.
+	// Every queued batch was answered or refused (a lost one would leave
+	// its connection goroutine parked forever).
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before {
 		if time.Now().After(deadline) {
@@ -904,8 +907,8 @@ func TestShutdownForcePathSaturatedRing(t *testing.T) {
 	}
 }
 
-// TestShutdownUnserved: a server that never served must still stop its
-// shard goroutines.
+// TestShutdownUnserved: a server that never served must still shut down
+// cleanly.
 func TestShutdownUnserved(t *testing.T) {
 	srv, err := New(Options{Shards: 2})
 	if err != nil {

@@ -2,24 +2,24 @@
 // restart-with-restore (RESTORE, Server.Restore), and live N→2N
 // resharding (RESHARD).
 //
-// A snapshot is collected under a full quiesce — every shard's combiner
-// lock held at a batch boundary, in registration order, plus the EXEC
-// gate — so the image is a consistent cut of the history: every command
-// answered before SAVE returned is in it, no torn transactions, no
-// half-applied batches. Commands still in flight (submitted, not yet
-// answered) linearize after the cut, which linearizability permits.
+// A snapshot is collected under a full quiesce — every shard's lock held
+// at a batch boundary, in registration order, plus the EXEC gate — so
+// the image is a consistent cut of the history: every command answered
+// before SAVE returned is in it, no torn transactions, no half-applied
+// batches. Commands still in flight (waiting on a shard lock) linearize
+// after the cut, which linearizability permits.
 //
 // Resharding doubles the shard count without stopping traffic. Slot
 // doubling has a convenient algebra: keyShard(k, 2N) is either
 // keyShard(k, N) or keyShard(k, N)+N, so shard i's keys split only
 // between slots i and i+N. The reshard first publishes a 2N router
 // whose new slots alias the old shards (routing-correct immediately),
-// then per source shard — under that shard's combiner lock, at a batch
-// boundary — copies the movers into a fresh shard, flips slot i+N to
-// it, and deletes the movers from the source. In-flight batches routed
-// under a superseded router are detected by the combiner's staleness
-// check and replayed through the current router (engine.redispatch),
-// so no command is lost, duplicated, or executed against a stale home.
+// then per source shard — under that shard's lock, at a batch boundary
+// — copies the movers into a fresh shard, flips slot i+N to it, and
+// deletes the movers from the source. In-flight batches routed under a
+// superseded router are detected by doBatch's staleness check and
+// replayed through the current router (engine.redispatch), so no
+// command is lost, duplicated, or executed against a stale home.
 package server
 
 import (
@@ -54,24 +54,22 @@ type mapRanger interface {
 	Range(f func(key string, val int64) bool)
 }
 
-// quiesce freezes the data plane: every shard combiner acquired in
+// quiesce freezes the data plane: every shard lock acquired in
 // registration order (the canonical order — reshard appends, never
-// reorders), each mailbox drained to a batch boundary, then the EXEC
+// reorders), so each shard stops at a batch boundary, then the EXEC
 // gate. The returned slice is what release must be given. Callers hold
 // reconfigMu, so the census cannot grow mid-acquisition.
 //
 // Lock order argument: quiesce is the only path that holds more than
-// one combiner at a time, and it acquires in one global order. The
-// ksGate write side is taken after every combiner; the only read-side
-// holder (execTxn) never waits on a combiner while holding it. Rescue
-// goroutines spawned by the drains park on mailboxes, not locks, and
-// quiesce never waits for them — their batches simply linearize after
-// the cut.
+// one shard lock at a time, and it acquires in one global order. A
+// batch holds one shard lock and redispatches a stale batch only after
+// dropping it. The ksGate write side is taken after every shard lock;
+// the only read-side holder (execTxn) never waits on a shard while
+// holding it.
 func (e *engine) quiesce() []*shard {
 	shards := e.allShards()
 	for _, s := range shards {
-		s.comb.Lock()
-		e.combine(s)
+		s.mu.Lock()
 	}
 	e.ksGate.Lock()
 	return shards
@@ -81,7 +79,7 @@ func (e *engine) quiesce() []*shard {
 func (e *engine) release(shards []*shard) {
 	e.ksGate.Unlock()
 	for i := len(shards) - 1; i >= 0; i-- {
-		shards[i].comb.Unlock()
+		shards[i].mu.Unlock()
 	}
 }
 
@@ -251,11 +249,11 @@ func (e *engine) bgsave() reply {
 // paths left: clear the keyed families, insert the image, and swap the
 // scratch unkeyed structures in.
 //
-// Mailbox and EXEC traffic cannot observe the half-restored keyspace
-// (the quiesce holds every combiner lock and the ksGate), and neither
-// can the wait-free read bypass: the mutation phase is bracketed by
+// Batches and EXEC traffic cannot observe the half-restored keyspace
+// (the quiesce holds every shard lock and the ksGate), and neither can
+// the wait-free read bypass: the mutation phase is bracketed by
 // restoreGen increments, and readLocal re-checks the generation after
-// every lock-free structure access, retrying through the mailbox on
+// every lock-free structure access, retrying under the shard lock on
 // overlap.
 func (e *engine) loadSnapshot(st *snapshot.State) error {
 	for _, x := range st.Set {
@@ -302,7 +300,7 @@ func (e *engine) loadSnapshot(st *snapshot.State) error {
 	}
 
 	// Mutation phase: no failure paths from here on. The odd generation
-	// sends concurrent bypass reads to the mailbox (engine.restoreGen).
+	// sends concurrent bypass reads to the shard locks (engine.restoreGen).
 	e.restoreGen.Add(1)
 	defer e.restoreGen.Add(1) // even again before the quiesce releases
 
@@ -355,9 +353,9 @@ func (e *engine) loadSnapshot(st *snapshot.State) error {
 	}
 
 	// The unkeyed families swap wholesale to the pre-filled scratch
-	// structures. Safe under the quiesce: these fields are only read by
-	// combiners (all parked on their shard locks) and by collect (which
-	// runs under the same quiesce).
+	// structures. Safe under the quiesce: these fields are only read under
+	// a shard lock (all held here) and by collect (which runs under the
+	// same quiesce).
 	e.queue, e.stack, e.pq = queue, stack, pq
 	return nil
 }
@@ -412,9 +410,9 @@ func (e *engine) reshard(n int) error {
 	}
 	e.router.Store(nr)
 
-	// Phase B: per source shard — under its combiner lock, at a batch
-	// boundary — copy the movers out, start the split half, flip the
-	// slot, delete the movers. Copy→flip→delete ordering means a key is
+	// Phase B: per source shard — under its lock, at a batch boundary —
+	// copy the movers out, register the split half, flip the slot, delete
+	// the movers. Copy→flip→delete ordering means a key is
 	// always reachable through at least one slot, and the flip happens
 	// under the same lock the staleness check runs under, so no batch
 	// executes against the source after its keys left.
@@ -422,12 +420,11 @@ func (e *engine) reshard(n int) error {
 		src := old.shard(i)
 		ns := e.newShard(core.ThreadID(half + i))
 
-		src.comb.Lock()
-		e.combine(src)
+		src.mu.Lock()
 
 		sr, ok := src.set.(setRanger)
 		if !ok {
-			src.comb.Unlock()
+			src.mu.Unlock()
 			return fmt.Errorf("set backend %q does not support resharding", e.opts.Set)
 		}
 		var movedSet []int
@@ -446,7 +443,7 @@ func (e *engine) reshard(n int) error {
 		if e.ks == nil { // with the keyspace on, shard dicts are unused
 			mr, ok := src.dict.(mapRanger)
 			if !ok {
-				src.comb.Unlock()
+				src.mu.Unlock()
 				return fmt.Errorf("map backend %q does not support resharding", e.opts.Map)
 			}
 			mr.Range(func(k string, v int64) bool {
@@ -462,10 +459,9 @@ func (e *engine) reshard(n int) error {
 		}
 
 		if !e.register(ns) {
-			src.comb.Unlock()
+			src.mu.Unlock()
 			return fmt.Errorf("server shutting down")
 		}
-		go e.serve(ns)
 		nr.slots[half+i].Store(ns)
 
 		for _, x := range movedSet {
@@ -474,7 +470,7 @@ func (e *engine) reshard(n int) error {
 		for _, k := range movedKeys {
 			src.dict.Del(k)
 		}
-		src.comb.Unlock()
+		src.mu.Unlock()
 	}
 	return nil
 }

@@ -580,7 +580,7 @@ func TestSnapshotWriteFailureCounted(t *testing.T) {
 // deterministically: loadSnapshot is wedged (restoreHook) at its most
 // inconsistent point — every family cleared, nothing inserted yet — and
 // a wait-free bypass read must then refuse to serve (served=false, so
-// the caller retries through the mailbox and parks behind the quiesce)
+// the caller retries under the shard lock and waits behind the quiesce)
 // rather than report the torn miss. Covers both bypass flavors: the
 // lock-free set's per-shard read and the transactional keyspace's HGET.
 func TestBypassReadRefusedMidRestore(t *testing.T) {
@@ -627,7 +627,7 @@ func TestBypassReadRefusedMidRestore(t *testing.T) {
 }
 
 // TestBypassReadsDuringRestore pins the torn-restore fix: wait-free
-// bypass reads run on connection goroutines with no combiner lock, so
+// bypass reads run on connection goroutines with no shard lock, so
 // without the restoreGen seqlock they could observe RESTORE's
 // half-restored keyspace. Every key here is present — with the same
 // value — both before and after each restore, so any miss is a
@@ -712,6 +712,6 @@ func TestBypassReadsDuringRestore(t *testing.T) {
 	t.Run("map-keyspace", func(t *testing.T) {
 		run(t, Options{},
 			func(c *client, k int) { c.expect(t, fmt.Sprintf("HSET k%d %d", k, k+1000), "1") },
-			func(k int) (string, string) { return fmt.Sprintf("HGET k%d", k), strconv.Itoa(k+1000) })
+			func(k int) (string, string) { return fmt.Sprintf("HGET k%d", k), strconv.Itoa(k + 1000) })
 	})
 }

@@ -211,6 +211,12 @@ func (v *OFTVar[T]) Get(tx *OFTx) T {
 				tx.manager.Resolve(tx, loc.owner)
 				continue
 			}
+			// A re-read that finds a newer version than the one recorded
+			// must abort: overwriting the record would let validateReads
+			// pass with two different values handed to fn (opacity).
+			if prev, ok := tx.reads[v]; ok && prev != any(version) {
+				panic(abortSignal{})
+			}
 			tx.reads[v] = version
 		}
 		if !tx.validateReads() {

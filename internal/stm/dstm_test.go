@@ -206,6 +206,34 @@ func TestOFConsistentPairs(t *testing.T) {
 	}
 }
 
+// TestOFRereadSeesOneVersion: two Gets of one variable with a committed
+// write in between must not return two values — the attempt aborts and
+// its retry reads one version throughout.
+func TestOFRereadSeesOneVersion(t *testing.T) {
+	for name, s := range ofUniverses() {
+		t.Run(name, func(t *testing.T) {
+			x := NewOFTVar(1)
+			first := true
+			s.Atomic(func(tx *OFTx) {
+				a := x.Get(tx)
+				if first {
+					first = false
+					s.Atomic(func(w *OFTx) { x.Set(w, 2) }) // commits between the reads
+				}
+				if b := x.Get(tx); b != a {
+					t.Errorf("one transaction read x as %d, then %d", a, b)
+				}
+			})
+			if got := s.Aborts(); got != 1 {
+				t.Fatalf("Aborts = %d, want 1 (the attempt that saw the write)", got)
+			}
+			if got := x.Load(); got != 2 {
+				t.Fatalf("Load = %d, want 2", got)
+			}
+		})
+	}
+}
+
 func TestOFUserPanicPropagates(t *testing.T) {
 	s := NewOF()
 	defer func() {
