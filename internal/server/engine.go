@@ -876,25 +876,31 @@ func boolInt(b bool) int64 {
 // execTxn commits one staged MULTI buffer atomically through the
 // transactional keyspace, returning one reply per staged command in
 // order. It runs on the connection goroutine without any shard lock:
-// cross-shard atomicity comes from the STM commit protocol.
-func (e *engine) execTxn(staged []Command) []reply {
-	ops := make([]txn.Op, len(staged))
-	for i, cmd := range staged {
+// cross-shard atomicity comes from the STM commit protocol. The op and
+// reply slices are the connection's scratch (ts.ops, ts.replies), so the
+// replies are valid only until its next EXEC.
+func (e *engine) execTxn(ts *txnState) []reply {
+	staged := ts.staged
+	ops := ts.ops[:0]
+	for _, cmd := range staged {
+		var op txn.Op
 		switch cmd.Op {
 		case OpHGet:
-			ops[i] = txn.Op{Kind: txn.Get, Key: cmd.Key}
+			op = txn.Op{Kind: txn.Get, Key: cmd.Key}
 		case OpHSet:
-			ops[i] = txn.Op{Kind: txn.Set, Key: cmd.Key, Val: cmd.Arg}
+			op = txn.Op{Kind: txn.Set, Key: cmd.Key, Val: cmd.Arg}
 		case OpHDel:
-			ops[i] = txn.Op{Kind: txn.Del, Key: cmd.Key}
+			op = txn.Op{Kind: txn.Del, Key: cmd.Key}
 		case OpHIncr:
-			ops[i] = txn.Op{Kind: txn.Incr, Key: cmd.Key, Val: cmd.Arg}
+			op = txn.Op{Kind: txn.Incr, Key: cmd.Key, Val: cmd.Arg}
 		case OpInc:
-			ops[i] = txn.Op{Kind: txn.CtrInc}
+			op = txn.Op{Kind: txn.CtrInc}
 		case OpRead:
-			ops[i] = txn.Op{Kind: txn.CtrRead}
+			op = txn.Op{Kind: txn.CtrRead}
 		}
+		ops = append(ops, op)
 	}
+	ts.ops = ops
 	// The read side of ksGate lets a quiescing snapshot (which already
 	// holds every shard lock, freezing all other keyspace writers) freeze
 	// EXEC commits too — the one keyspace mutator that runs outside a
@@ -903,21 +909,20 @@ func (e *engine) execTxn(staged []Command) []reply {
 	e.ksGate.RLock()
 	results := e.ks.Exec(ops)
 	e.ksGate.RUnlock()
-	replies := make([]reply, len(staged))
+	replies := ts.replies[:0]
 	for i, res := range results {
+		r := reply{status: stInt, val: res.Val} // OpHIncr, OpInc, OpRead
 		switch staged[i].Op {
 		case OpHGet:
 			if !res.Flag {
-				replies[i] = reply{status: stEmpty}
-			} else {
-				replies[i] = reply{status: stInt, val: res.Val}
+				r = reply{status: stEmpty}
 			}
 		case OpHSet, OpHDel:
-			replies[i] = reply{status: stInt, val: boolInt(res.Flag)}
-		default: // OpHIncr, OpInc, OpRead
-			replies[i] = reply{status: stInt, val: res.Val}
+			r.val = boolInt(res.Flag)
 		}
+		replies = append(replies, r)
 	}
+	ts.replies = replies
 	return replies
 }
 

@@ -39,7 +39,9 @@
 //	RESHARD n  double the shards to n    → OK (n must be exactly 2× current)
 //
 // Any failure is reported as "ERR <reason>"; malformed commands keep the
-// connection open, an oversized line closes it (framing is lost).
+// connection open, and so does a line of MaxLineLen+1 bytes before its
+// LF. A longer line closes it (framing is lost): the lines before it are
+// answered, then the ERR, then the close.
 //
 // Clients may pipeline: send any number of commands without waiting for
 // replies. The server parses ahead of the data plane, executes batches

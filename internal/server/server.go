@@ -32,6 +32,7 @@ import (
 
 	"amp/internal/metrics"
 	"amp/internal/snapshot"
+	"amp/internal/txn"
 )
 
 // Server is the ampserved TCP server. Construct with New, then Listen and
@@ -180,6 +181,10 @@ type txnState struct {
 	active bool
 	dirty  bool
 	staged []Command
+	// ops and replies are execTxn's scratch, reused across EXECs; like
+	// staged they never grow past MaxTxnOps.
+	ops     []txn.Op
+	replies []reply
 }
 
 func (ts *txnState) reset() {
@@ -200,11 +205,12 @@ func (s *Server) handle(conn net.Conn) {
 	defer s.untrack(conn)
 	defer conn.Close()
 
-	// The reader holds one maximal line: MaxLineLen+1 bytes of content
-	// (the old scanner's tolerance — ParseCommand still rejects anything
-	// over MaxLineLen) plus the LF. A line that cannot fit surfaces as
-	// bufio.ErrBufferFull and drops the connection.
-	r := bufio.NewReaderSize(conn, MaxLineLen+2)
+	// The reader holds a pipelined window, not a line: one read syscall
+	// takes in everything the client wrote (up to readBufSize bytes), and
+	// the parse-ahead loop answers it as one batch with one flush. The
+	// line limit is therefore enforced explicitly by nextLine rather than
+	// by the buffer's size.
+	r := bufio.NewReaderSize(conn, readBufSize)
 	w := bufio.NewWriter(conn)
 	items := make([]lineItem, 0, maxBatch)
 	ts := &txnState{}
@@ -232,14 +238,14 @@ func (s *Server) handle(conn net.Conn) {
 		line, err := readLine(r)
 		switch {
 		case err == nil:
-		case errors.Is(err, bufio.ErrBufferFull):
+		case errors.Is(err, ErrLineTooLong):
 			// Framing is lost; report and drop the connection. Drain
 			// the rest of the line first: closing with unread data
 			// risks a TCP reset that could destroy the error reply in
 			// flight.
 			s.reply(w, reply{status: stErr, msg: ErrLineTooLong.Error()})
 			w.Flush()
-			drainLine(conn)
+			drainLine(r, conn)
 			return
 		case errors.Is(err, io.EOF) && len(line) > 0:
 			// Final line without a terminator: serve it, then close.
@@ -254,19 +260,15 @@ func (s *Server) handle(conn net.Conn) {
 
 		items = append(items[:0], parseItem(line))
 		// Parse ahead: collect every complete line the kernel already
-		// delivered, without blocking on the socket again. Peek only
-		// inspects buffered bytes, so a partial trailing line stays for
-		// the next round.
+		// delivered, without blocking on the socket again. A partial
+		// trailing line stays for the next round, and so does an
+		// over-long one: the lines before it are answered and flushed
+		// before the next readLine reports it and closes.
 		for len(items) < maxBatch {
-			n := r.Buffered()
-			if n == 0 {
+			line, ok, _ := nextLine(r)
+			if !ok {
 				break
 			}
-			buffered, _ := r.Peek(n)
-			if bytes.IndexByte(buffered, '\n') < 0 {
-				break
-			}
-			line, _ := readLine(r)
 			items = append(items, parseItem(line))
 		}
 
@@ -277,17 +279,53 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// readLine returns the next line without its LF. On bufio.ErrBufferFull
-// (a line longer than the reader can hold) or io.EOF with partial
-// content (a final unterminated line) the bytes read so far come back
-// with the error. The returned slice aliases the reader's buffer and is
-// valid only until the next read.
-func readLine(r *bufio.Reader) ([]byte, error) {
-	line, err := r.ReadSlice('\n')
-	if err != nil {
-		return line, err
+// readBufSize sizes a connection's read buffer: bufio's default, room for
+// a whole pipelined window of short lines.
+const readBufSize = 4096
+
+// maxLineContent is the longest line content (bytes before the LF) that
+// frames: one byte over MaxLineLen, so a line of MaxLineLen+1 bytes is
+// answered by ParseCommand's ERR and the connection stays open, while a
+// longer one loses framing and closes it.
+const maxLineContent = MaxLineLen + 1
+
+// nextLine frames the next line from the bytes r already buffered,
+// without reading the socket. It returns the line without its LF and
+// true when a complete line is buffered; ErrLineTooLong when the next
+// line is known to run past maxLineContent (its LF lies beyond it, or
+// more than maxLineContent bytes are buffered with no LF); and false
+// with no error when more bytes are needed. The line aliases the
+// reader's buffer and is valid only until the next read.
+func nextLine(r *bufio.Reader) ([]byte, bool, error) {
+	buf, _ := r.Peek(min(r.Buffered(), maxLineContent+1))
+	i := bytes.IndexByte(buf, '\n')
+	switch {
+	case i >= 0:
+		r.Discard(i + 1)
+		return buf[:i], true, nil
+	case len(buf) > maxLineContent:
+		return nil, false, ErrLineTooLong
 	}
-	return line[:len(line)-1], nil
+	return nil, false, nil
+}
+
+// readLine returns the next line without its LF, reading the socket
+// until one is complete. An over-long line returns ErrLineTooLong as
+// soon as the limit is crossed, without waiting for its LF. On a read
+// error the bytes of the unfinished line come back with it (io.EOF with
+// content is a final unterminated line). The returned slice aliases the
+// reader's buffer and is valid only until the next read.
+func readLine(r *bufio.Reader) ([]byte, error) {
+	for {
+		line, ok, err := nextLine(r)
+		if ok || err != nil {
+			return line, err
+		}
+		// Peek past the buffered bytes: one read that adds any.
+		if buf, err := r.Peek(r.Buffered() + 1); err != nil {
+			return buf, err
+		}
+	}
 }
 
 // serveBatch answers one parse-ahead batch in protocol order. Commands
@@ -498,9 +536,10 @@ func (s *Server) serveTxnLine(w *bufio.Writer, it lineItem, ts *txnState) bool {
 			ts.reset()
 			return s.reply(w, errReply("EXEC aborted (errors while queueing)"))
 		}
-		replies := s.eng.execTxn(ts.staged)
+		replies := s.eng.execTxn(ts)
 		ts.reset()
-		if !s.replyRaw(w, "*"+strconv.Itoa(len(replies))) {
+		w.WriteByte('*')
+		if !s.reply(w, reply{status: stInt, val: int64(len(replies))}) {
 			return false
 		}
 		for _, r := range replies {
@@ -537,22 +576,25 @@ func (s *Server) serveTxnLine(w *bufio.Writer, it lineItem, ts *txnState) bool {
 }
 
 // reply appends one reply line to the write buffer (the batch loop
-// flushes once per batch); false on a write error.
+// flushes once per batch) without allocating: integers format straight
+// into the buffer's free space, and an error's prefix and message are
+// written separately. bufio.Writer errors are sticky, so the final
+// WriteByte reports any earlier failure; false on a write error.
 func (s *Server) reply(w *bufio.Writer, r reply) bool {
-	var line string
 	switch r.status {
 	case stOK:
-		line = "OK"
+		w.WriteString("OK")
 	case stInt:
-		line = strconv.FormatInt(r.val, 10)
+		w.Write(strconv.AppendInt(w.AvailableBuffer(), r.val, 10))
 	case stEmpty:
-		line = "EMPTY"
+		w.WriteString("EMPTY")
 	case stFull:
-		line = "FULL"
+		w.WriteString("FULL")
 	case stErr:
-		line = "ERR " + r.msg
+		w.WriteString("ERR ")
+		w.WriteString(r.msg)
 	}
-	return s.replyRaw(w, line)
+	return w.WriteByte('\n') == nil
 }
 
 func (s *Server) replyRaw(w *bufio.Writer, line string) bool {
@@ -596,18 +638,20 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // drainLine discards input up to the next newline, bounded in bytes and
-// time, so the peer's oversized line is consumed before the close.
-func drainLine(conn net.Conn) {
+// time, so the peer's oversized line is consumed before the close. The
+// reader's buffered bytes go first: the LF may already be among them,
+// and reading the socket for it then would stall the close until the
+// deadline.
+func drainLine(r *bufio.Reader, conn net.Conn) {
+	buf, _ := r.Peek(r.Buffered())
+	if bytes.IndexByte(buf, '\n') >= 0 {
+		return
+	}
 	conn.SetReadDeadline(time.Now().Add(time.Second))
-	buf := make([]byte, 4096)
+	buf = make([]byte, 4096)
 	for budget := 1 << 20; budget > 0; {
 		n, err := conn.Read(buf)
-		for i := 0; i < n; i++ {
-			if buf[i] == '\n' {
-				return
-			}
-		}
-		if err != nil {
+		if bytes.IndexByte(buf[:n], '\n') >= 0 || err != nil {
 			return
 		}
 		budget -= n

@@ -2,8 +2,10 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"strconv"
@@ -705,21 +707,142 @@ func TestPartialReads(t *testing.T) {
 	}
 }
 
-// TestOversizedLine checks that a line the framing layer cannot buffer
-// gets an error reply and a closed connection.
+// TestOversizedLine checks that a line over the framing limit gets an
+// error reply and a closed connection, that the lines before it are
+// answered first, that the ERR does not wait for the line's LF, and that
+// the close does not wait out drainLine's 1 s deadline.
 func TestOversizedLine(t *testing.T) {
-	srv := startServer(t, Options{Shards: 2})
-	c := dial(t, srv)
-	long := "SET " + strings.Repeat("1", 4*MaxLineLen) + "\n"
-	if _, err := c.conn.Write([]byte(long)); err != nil {
-		t.Fatalf("write: %v", err)
+	long := "SET " + strings.Repeat("1", 4*MaxLineLen)
+	prefix := strings.Repeat("SET 12345\n", 20) // 200 bytes of valid lines
+	cases := []struct {
+		name    string
+		write   string // sent first
+		replies int    // replies expected ahead of the ERR
+		rest    string // sent once the ERR arrived ("" sends nothing)
+	}{
+		{name: "alone", write: long + "\n"},
+		{name: "after-valid-lines", write: prefix + long + "\n", replies: 20},
+		{name: "unterminated", write: long, rest: "\n"},
+		{name: "just-over", write: prefix + "SET " + strings.Repeat("2", MaxLineLen-2) + "\n", replies: 20},
 	}
-	if got := c.readLine(t); got != "ERR line too long" {
-		t.Fatalf("reply = %q, want ERR line too long", got)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := startServer(t, Options{Shards: 2})
+			c := dial(t, srv)
+			if _, err := c.conn.Write([]byte(tc.write)); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			for i := 0; i < tc.replies; i++ {
+				if got := c.readLine(t); got != "1" && got != "0" {
+					t.Fatalf("reply %d = %q, want 0 or 1", i, got)
+				}
+			}
+			c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if got, err := c.r.ReadString('\n'); got != "ERR line too long\n" {
+				t.Fatalf("reply = %q (%v), want ERR line too long", got, err)
+			}
+			if tc.rest != "" {
+				if _, err := c.conn.Write([]byte(tc.rest)); err != nil {
+					t.Fatalf("write rest: %v", err)
+				}
+			}
+			start := time.Now()
+			if _, err := c.r.ReadString('\n'); err == nil {
+				t.Fatal("connection still open after oversized line")
+			}
+			if d := time.Since(start); d > 500*time.Millisecond {
+				t.Fatalf("close took %v, want well under drainLine's 1s deadline", d)
+			}
+		})
 	}
-	c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := c.r.ReadString('\n'); err == nil {
-		t.Fatal("connection still open after oversized line")
+}
+
+// windowConn is an in-memory connection that hands the reader one
+// scripted window per Read (less only when the reader's buffer is
+// smaller), reports io.EOF after the last, and counts Write calls.
+type windowConn struct {
+	net.Conn // unused methods; nil
+	windows  [][]byte
+	writes   int
+	out      bytes.Buffer
+}
+
+func (c *windowConn) Read(p []byte) (int, error) {
+	if len(c.windows) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, c.windows[0])
+	if c.windows[0] = c.windows[0][n:]; len(c.windows[0]) == 0 {
+		c.windows = c.windows[1:]
+	}
+	return n, nil
+}
+
+func (c *windowConn) Write(p []byte) (int, error) {
+	c.writes++
+	return c.out.Write(p)
+}
+
+func (c *windowConn) Close() error                    { return nil }
+func (c *windowConn) SetReadDeadline(time.Time) error { return nil }
+
+// TestFramingOneFlushPerWindow drives Server.handle with windows of four
+// MULTI/HINCR/HINCR/EXEC transfers, each longer than one maximal line,
+// delivered by one Read apiece: the server must answer each window with
+// exactly one write.
+func TestFramingOneFlushPerWindow(t *testing.T) {
+	srv, err := New(Options{Shards: 2})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	t.Cleanup(func() { srv.Shutdown(context.Background()) })
+
+	const nWindows, perWindow = 8, 4
+	conn := &windowConn{}
+	for i := 0; i < nWindows; i++ {
+		var win []byte
+		for j := 0; j < perWindow; j++ {
+			a, b := 10*i+j, 500+10*i+j
+			win = fmt.Appendf(win, "MULTI\nHINCR acct:%d 7\nHINCR acct:%d -7\nEXEC\n", a, b)
+		}
+		if len(win) <= MaxLineLen+2 {
+			t.Fatalf("window of %d bytes fits one maximal line", len(win))
+		}
+		conn.windows = append(conn.windows, win)
+	}
+	srv.connWG.Add(1)
+	srv.handle(conn)
+
+	want := strings.Repeat("OK\n+QUEUED\n+QUEUED\n*2\n7\n-7\n", nWindows*perWindow)
+	if got := conn.out.String(); got != want {
+		t.Fatalf("replies = %q, want %q", got, want)
+	}
+	if conn.writes != nWindows {
+		t.Fatalf("%d writes for %d windows, want one per window", conn.writes, nWindows)
+	}
+}
+
+// TestReplyAllocs pins the reply encoder's allocation-free path for every
+// reply status, including errors and integers too large for strconv's
+// small-number cache.
+func TestReplyAllocs(t *testing.T) {
+	s := &Server{}
+	w := bufio.NewWriter(io.Discard)
+	for _, r := range []reply{
+		{status: stOK},
+		{status: stInt, val: -9223372036854775808},
+		{status: stInt, val: 12345},
+		{status: stEmpty},
+		{status: stFull},
+		{status: stErr, msg: ErrLineTooLong.Error()},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			s.reply(w, r)
+			w.Flush()
+		})
+		if allocs != 0 {
+			t.Errorf("reply(%+v): %.1f allocs, want 0", r, allocs)
+		}
 	}
 }
 

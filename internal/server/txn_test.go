@@ -190,7 +190,8 @@ func TestTxnStagedBufferCap(t *testing.T) {
 // txnHistoryClient replays a mix of plain map/counter traffic and
 // MULTI/EXEC transactions over one connection, recording every operation
 // for the linearizability checker. Fast ops are pipelined up to depth;
-// a transaction flushes the window and runs as its own round trip.
+// transactions flush that window and then go two MULTI/EXEC blocks per
+// write, so back-to-back EXECs share one server-side batch.
 func txnHistoryClient(addr string, rec *core.Recorder, me core.ThreadID,
 	keys []string, depth, ops, id int) error {
 	conn, err := net.Dial("tcp", addr)
@@ -270,6 +271,29 @@ func txnHistoryClient(addr string, rec *core.Recorder, me core.ThreadID,
 		return nil
 	}
 
+	readExec := func(txops []core.TxnOp) ([]any, error) {
+		if err := expectLine("OK"); err != nil {
+			return nil, fmt.Errorf("MULTI: %w", err)
+		}
+		for i := range txops {
+			if err := expectLine("+QUEUED"); err != nil {
+				return nil, fmt.Errorf("staged %d: %w", i, err)
+			}
+		}
+		if err := expectLine("*" + strconv.Itoa(len(txops))); err != nil {
+			return nil, fmt.Errorf("EXEC array: %w", err)
+		}
+		outs := make([]any, len(txops))
+		for i, op := range txops {
+			out, err := readReply(op.Act)
+			if err != nil {
+				return nil, fmt.Errorf("EXEC reply %d: %w", i, err)
+			}
+			outs[i] = out
+		}
+		return outs, nil
+	}
+
 	for next := 0; next < ops; next++ {
 		if len(window) >= depth {
 			if err := drainWindow(); err != nil {
@@ -298,71 +322,78 @@ func txnHistoryClient(addr string, rec *core.Recorder, me core.ThreadID,
 		case pick < 8:
 			window = append(window, sent{rec.Call(me, "read", nil), "read"})
 			fmt.Fprintf(w, "READ\n")
-		default: // a MULTI/EXEC transfer-style transaction
+		default: // two MULTI/EXEC blocks pipelined in one write
 			if err := drainWindow(); err != nil {
 				return err
 			}
-			n := 2 + rng.Intn(3)
-			txops := make([]core.TxnOp, n)
-			delta := int64(1 + rng.Intn(4))
-			for i := range txops {
-				k := keys[rng.Intn(len(keys))]
-				switch i {
-				case 0:
-					txops[i] = core.TxnOp{Act: "incr", K: k, V: -delta}
-				case 1:
-					txops[i] = core.TxnOp{Act: "incr", K: k, V: delta}
-				default:
-					switch rng.Intn(3) {
-					case 0:
-						txops[i] = core.TxnOp{Act: "get", K: k}
-					case 1:
-						txops[i] = core.TxnOp{Act: "read"}
-					default:
-						txops[i] = core.TxnOp{Act: "incr", K: k, V: int64(rng.Intn(3))}
-					}
-				}
+			var blocks [2][]core.TxnOp
+			var pends [2]*core.PendingOp
+			for b := range blocks {
+				blocks[b] = txnBlock(rng, keys)
+				pends[b] = rec.Call(me, "exec", core.TxnExecInput{Ops: blocks[b]})
+				writeTxnBlock(w, blocks[b])
 			}
-			pend := rec.Call(me, "exec", core.TxnExecInput{Ops: txops})
-			fmt.Fprintf(w, "MULTI\n")
-			for _, op := range txops {
-				switch op.Act {
-				case "incr":
-					fmt.Fprintf(w, "HINCR %s %d\n", op.K, op.V)
-				case "get":
-					fmt.Fprintf(w, "HGET %s\n", op.K)
-				case "read":
-					fmt.Fprintf(w, "READ\n")
-				}
+			// The two blocks must span more than one maximal line, so the
+			// server answers both EXECs from one parse-ahead batch.
+			if n := w.Buffered(); n <= MaxLineLen+2 {
+				return fmt.Errorf("txn window of %d bytes, want > %d", n, MaxLineLen+2)
 			}
-			fmt.Fprintf(w, "EXEC\n")
 			if err := w.Flush(); err != nil {
 				return err
 			}
 			conn.SetReadDeadline(time.Now().Add(20 * time.Second))
-			if err := expectLine("OK"); err != nil {
-				return fmt.Errorf("MULTI: %w", err)
-			}
-			for i := 0; i < n; i++ {
-				if err := expectLine("+QUEUED"); err != nil {
-					return fmt.Errorf("staged %d: %w", i, err)
-				}
-			}
-			if err := expectLine("*" + strconv.Itoa(n)); err != nil {
-				return fmt.Errorf("EXEC array: %w", err)
-			}
-			outs := make([]any, n)
-			for i, op := range txops {
-				out, err := readReply(op.Act)
+			for b, txops := range blocks {
+				outs, err := readExec(txops)
 				if err != nil {
-					return fmt.Errorf("EXEC reply %d: %w", i, err)
+					return fmt.Errorf("block %d: %w", b, err)
 				}
-				outs[i] = out
+				pends[b].Done(outs)
 			}
-			pend.Done(outs)
 		}
 	}
 	return drainWindow()
+}
+
+// txnBlock generates one transaction: a transfer between two keys, an
+// increment of a key followed by a read of the same key (which must see
+// the increment), and one or two random extras. Five ops at least keep
+// two blocks over the shortest keys above MaxLineLen+2 bytes.
+func txnBlock(rng *rand.Rand, keys []string) []core.TxnOp {
+	txops := make([]core.TxnOp, 5+rng.Intn(2))
+	delta := int64(1 + rng.Intn(4))
+	k := keys[rng.Intn(len(keys))]
+	txops[0] = core.TxnOp{Act: "incr", K: keys[rng.Intn(len(keys))], V: -delta}
+	txops[1] = core.TxnOp{Act: "incr", K: keys[rng.Intn(len(keys))], V: delta}
+	txops[2] = core.TxnOp{Act: "incr", K: k, V: int64(1 + rng.Intn(3))}
+	txops[3] = core.TxnOp{Act: "get", K: k}
+	for i := 4; i < len(txops); i++ {
+		k := keys[rng.Intn(len(keys))]
+		switch rng.Intn(3) {
+		case 0:
+			txops[i] = core.TxnOp{Act: "get", K: k}
+		case 1:
+			txops[i] = core.TxnOp{Act: "read"}
+		default:
+			txops[i] = core.TxnOp{Act: "incr", K: k, V: int64(rng.Intn(3))}
+		}
+	}
+	return txops
+}
+
+// writeTxnBlock buffers one MULTI ... EXEC block for txops.
+func writeTxnBlock(w *bufio.Writer, txops []core.TxnOp) {
+	fmt.Fprintf(w, "MULTI\n")
+	for _, op := range txops {
+		switch op.Act {
+		case "incr":
+			fmt.Fprintf(w, "HINCR %s %d\n", op.K, op.V)
+		case "get":
+			fmt.Fprintf(w, "HGET %s\n", op.K)
+		case "read":
+			fmt.Fprintf(w, "READ\n")
+		}
+	}
+	fmt.Fprintf(w, "EXEC\n")
 }
 
 // testServerLinearizableTxn records concurrent transactional and plain
