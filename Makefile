@@ -24,8 +24,9 @@ bench:
 # epoch steady-state bench — including the wait-free read bypass path —
 # allocates, if the txn bench stops committing, or if the pipelined or
 # adaptive server paths regress past their per-spec ratio over the
-# checked-in BENCH_baseline.json. Writes BENCH_ci.json; in CI the ratio
-# comparison also lands in the step summary as a markdown table.
+# checked-in BENCH_baseline.json. Writes BENCH_ci.json (the TL2 keyspace
+# benches land there ungated); in CI the ratio comparison also lands in
+# the step summary as a markdown table.
 bench-ci:
 	$(GO) test -run='^$$' -bench='Epoch.*Steady|LockFree.*(EnqDeq|AddRemove)' -benchmem -count=5 \
 		./internal/queue ./internal/list ./internal/skiplist | tee bench.txt
@@ -33,6 +34,8 @@ bench-ci:
 		./internal/server | tee -a bench.txt
 	$(GO) test -run='^$$' -bench='BenchmarkMailboxRingVsChan' -benchmem -count=5 \
 		./internal/mailbox | tee -a bench.txt
+	$(GO) test -run='^$$' -bench='BenchmarkKeyspace' -benchmem -count=5 \
+		./internal/txn | tee -a bench.txt
 	$(GO) run ./cmd/benchgate -in bench.txt -out BENCH_ci.json -gate 'Epoch.*Steady|ReadBypassSteady' \
 		-require 'ServerTCPTxn:commits/op' \
 		-baseline BENCH_baseline.json \

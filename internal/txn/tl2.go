@@ -99,37 +99,34 @@ func (k *tl2Keyspace) SetCounter(v int64) {
 }
 
 func (k *tl2Keyspace) Exec(ops []Op) []Result {
-	// Resolve every key's tvar up front — including keys only read, and
-	// keys that do not exist yet. A read of an absent key must join the
-	// read set of a real tvar or commit-time validation cannot see a
-	// concurrent creator. getOrCreate is idempotent, so resolving outside
-	// the transaction is safe across retries.
-	cells := make([]*stm.TVar[cell], len(ops))
-	for i, op := range ops {
-		if op.Kind == Get || op.Kind == Set || op.Kind == Del || op.Kind == Incr {
-			cells[i] = k.cellOf(op.Key)
-		}
-	}
+	// Every keyed op resolves its key's tvar — including keys only read,
+	// and keys that do not exist yet. A read of an absent key must join
+	// the read set of a real tvar or commit-time validation cannot see a
+	// concurrent creator. getOrCreate is idempotent, so every retry
+	// resolves the same tvar.
 	out := make([]Result, len(ops))
 	k.stm.Atomic(func(tx *stm.Tx) {
 		for i, op := range ops {
 			switch op.Kind {
 			case Get:
-				c := cells[i].Get(tx)
+				c := k.cellOf(op.Key).Get(tx)
 				out[i] = Result{Val: c.v, Flag: c.present}
 			case Set:
-				out[i] = Result{Val: op.Val, Flag: !cells[i].Get(tx).present}
-				cells[i].Set(tx, cell{v: op.Val, present: true})
+				cv := k.cellOf(op.Key)
+				out[i] = Result{Val: op.Val, Flag: !cv.Get(tx).present}
+				cv.Set(tx, cell{v: op.Val, present: true})
 			case Del:
-				c := cells[i].Get(tx)
+				cv := k.cellOf(op.Key)
+				c := cv.Get(tx)
 				out[i] = Result{Flag: c.present}
 				if c.present {
-					cells[i].Set(tx, cell{})
+					cv.Set(tx, cell{})
 				}
 			case Incr:
-				v := cells[i].Get(tx).v + op.Val
+				cv := k.cellOf(op.Key)
+				v := cv.Get(tx).v + op.Val
 				out[i] = Result{Val: v, Flag: true}
-				cells[i].Set(tx, cell{v: v, present: true})
+				cv.Set(tx, cell{v: v, present: true})
 			case CtrInc:
 				old := k.ctr.Get(tx)
 				out[i] = Result{Val: old}
